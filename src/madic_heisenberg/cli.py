@@ -14,7 +14,7 @@ from . import localization as loc
 from . import selftest as selftest_mod
 from . import tower
 from .errors import DomainError
-from .haar import CylinderFunction, enumerate_cosets, integrate
+from .haar import CylinderFunction, integrate
 from .heisenberg import ChainFamily, HeisenbergContext, HPoint
 from .hmodule import BilinearForm
 
@@ -34,7 +34,10 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return config
 
 
 def _context(args, config: dict) -> HeisenbergContext:
@@ -52,11 +55,6 @@ def _context(args, config: dict) -> HeisenbergContext:
 def _point(ctx: HeisenbergContext, text: str) -> HPoint:
     obj = json.loads(text)
     return ctx.point(obj["x"], obj["s"])
-
-
-def _point_out(g: HPoint) -> dict:
-    return {"x": list(g.x.values()), "s": g.s.value,
-            "m": g.s.m, "n": g.s.n}
 
 
 def _chain(text: str) -> tower.ChainSpec:
@@ -84,25 +82,25 @@ def _cmd_dist(args, config):
 
 def _cmd_mul(args, config):
     ctx = _context(args, config)
-    _emit(_point_out(ctx.mul(_point(ctx, args.g), _point(ctx, args.h))))
+    _emit(ctx.mul(_point(ctx, args.g), _point(ctx, args.h)).to_json())
     return 0
 
 
 def _cmd_inv(args, config):
     ctx = _context(args, config)
-    _emit(_point_out(ctx.inv(_point(ctx, args.g))))
+    _emit(ctx.inv(_point(ctx, args.g)).to_json())
     return 0
 
 
 def _cmd_conj(args, config):
     ctx = _context(args, config)
-    _emit(_point_out(ctx.conjugate(_point(ctx, args.g), _point(ctx, args.h))))
+    _emit(ctx.conjugate(_point(ctx, args.g), _point(ctx, args.h)).to_json())
     return 0
 
 
 def _cmd_dilate(args, config):
     ctx = _context(args, config)
-    _emit(_point_out(ctx.dilate(args.r, _point(ctx, args.g))))
+    _emit(ctx.dilate(args.r, _point(ctx, args.g)).to_json())
     return 0
 
 
@@ -115,16 +113,15 @@ def _cmd_member(args, config):
 
 def _cmd_cosets(args, config):
     ctx = _context(args, config)
-    reps = enumerate_cosets(ctx, ChainFamily(args.family), args.level)
+    keys = ctx.coset_digits(ChainFamily(args.family), args.level)
     fmt = args.format or config.get("format", "csv")
     if fmt == "json":
-        _emit({"level": reps.level, "family": reps.family.value,
-               "reps": [_point_out(r) for r in reps.reps]})
+        _emit({"level": args.level, "family": args.family,
+               "reps": [ctx.point(xs, s).to_json() for xs, s in keys]})
     else:
-        header = [f"x{i + 1}" for i in range(ctx.rank)] + ["s"]
-        print(",".join(header))
-        for r in reps.reps:
-            print(",".join(str(v) for v in (*r.x.values(), r.s.value)))
+        print(",".join([f"x{i + 1}" for i in range(ctx.rank)] + ["s"]))
+        for xs, s in keys:
+            print(",".join(map(str, (*xs, s))))
     return 0
 
 
@@ -148,19 +145,17 @@ def _cmd_haar(args, config):
     value = integrate(ctx, f, args.at_level)
     out = {"integral": _rational(value)}
     if args.decimal:
-        out["decimal"] = str(float(value))
+        try:
+            out["decimal"] = str(float(value))
+        except OverflowError:
+            raise DomainError(f"integral {out['integral']} is beyond float range") from None
     _emit(out)
     return 0
 
 
 def _cmd_check_normal(args, config):
     ctx = _context(args, config)
-    rep = ctx.check_normality(ChainFamily(args.family), args.j, args.level)
-    out = rep.to_json()
-    if rep.witness is not None:
-        a, h = rep.witness
-        out["witness"] = {"a": _point_out(a), "h": _point_out(h)}
-    _emit(out)
+    _emit(ctx.check_normality(ChainFamily(args.family), args.j, args.level).to_json())
     return 0
 
 

@@ -9,11 +9,10 @@ at the function's own level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionExceeded
+from .errors import DomainError
 from .heisenberg import ChainFamily, HeisenbergContext, HPoint
 from .tower import format_rational, parse_rational
 
@@ -31,22 +30,9 @@ class CosetReps:
 
 
 def enumerate_cosets(ctx: HeisenbergContext, family: ChainFamily, n: int) -> CosetReps:
-    """Canonical coset representatives at level n, lexicographic in digits:
-    vector digits below m^n, central digit below m^(c*n)."""
-    c = family.central_exponent
-    if n < 0:
-        raise DomainError("level must be nonnegative")
-    if c * n > ctx.precision:
-        raise PrecisionExceeded(f"level {n} needs precision >= {c * n}")
-    if n == 0:
-        return CosetReps(level=0, family=family, reps=(ctx.identity(),))
-    mn = ctx.m ** n
-    mcn = ctx.m ** (c * n)
-    reps = tuple(
-        ctx.point(xs, s)
-        for xs in itertools.product(range(mn), repeat=ctx.rank)
-        for s in range(mcn)
-    )
+    """Canonical coset representatives at level n, in the order of
+    ctx.coset_digits."""
+    reps = tuple(ctx.point(xs, s) for xs, s in ctx.coset_digits(family, n))
     return CosetReps(level=n, family=family, reps=reps)
 
 
@@ -70,21 +56,16 @@ class CylinderFunction:
     @classmethod
     def constant(cls, ctx: HeisenbergContext, family: ChainFamily, level: int,
                  value) -> "CylinderFunction":
-        reps = enumerate_cosets(ctx, family, level)
-        value = Fraction(value)
-        return cls(level=level, family=family, table={
-            ctx.coset_key(r, family, level): value for r in reps.reps
-        })
+        return cls(level=level, family=family,
+                   table=dict.fromkeys(ctx.coset_digits(family, level), Fraction(value)))
 
     @classmethod
     def indicator(cls, ctx: HeisenbergContext, family: ChainFamily, level: int,
                   of: HPoint) -> "CylinderFunction":
         """Indicator of the coset containing `of`."""
         target = ctx.coset_key(of, family, level)
-        reps = enumerate_cosets(ctx, family, level)
         return cls(level=level, family=family, table={
-            (k := ctx.coset_key(r, family, level)): Fraction(1 if k == target else 0)
-            for r in reps.reps
+            k: Fraction(int(k == target)) for k in ctx.coset_digits(family, level)
         })
 
     def check_complete(self, ctx: HeisenbergContext):
@@ -140,9 +121,17 @@ def integrate(ctx: HeisenbergContext, f: CylinderFunction, n: int | None = None)
         return base
     if n < f.level:
         raise DomainError(f"integration level {n} below function level {f.level}")
-    deep = average_over(ctx, f, enumerate_cosets(ctx, f.family, n).reps)
-    assert deep == base, "coset average failed to stabilize"
+    if average_over(ctx, f, enumerate_cosets(ctx, f.family, n).reps) != base:
+        raise AssertionError("coset average failed to stabilize")
     return base
+
+
+def _retabulate(ctx: HeisenbergContext, f: CylinderFunction, level: int,
+                compose) -> CylinderFunction:
+    """g -> f(compose(g)) tabulated over the canonical cosets at level."""
+    return CylinderFunction(level=level, family=f.family, table={
+        k: f.value_at(ctx, compose(ctx.point(*k))) for k in ctx.coset_digits(f.family, level)
+    })
 
 
 def translate(ctx: HeisenbergContext, f: CylinderFunction, a: HPoint,
@@ -153,21 +142,11 @@ def translate(ctx: HeisenbergContext, f: CylinderFunction, a: HPoint,
     the normal family H."""
     f.check_complete(ctx)
     if side == "left":
-        new_level = f.level
-        compose = lambda g: ctx.mul(a, g)
-    elif side == "right":
+        return _retabulate(ctx, f, f.level, lambda g: ctx.mul(a, g))
+    if side == "right":
         new_level = f.level if f.family is ChainFamily.H else 2 * f.level
-        compose = lambda g: ctx.mul(g, a)
-    else:
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    reps = enumerate_cosets(ctx, f.family, new_level)
-    return CylinderFunction(
-        level=new_level, family=f.family,
-        table={
-            ctx.coset_key(r, f.family, new_level): f.value_at(ctx, compose(r))
-            for r in reps.reps
-        },
-    )
+        return _retabulate(ctx, f, new_level, lambda g: ctx.mul(g, a))
+    raise DomainError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def pushforward_table(ctx: HeisenbergContext, f: CylinderFunction,
@@ -176,10 +155,4 @@ def pushforward_table(ctx: HeisenbergContext, f: CylinderFunction,
     integral is preserved exactly."""
     if n <= f.level:
         raise DomainError(f"target level {n} must exceed function level {f.level}")
-    reps = enumerate_cosets(ctx, f.family, n)
-    return CylinderFunction(
-        level=n, family=f.family,
-        table={
-            ctx.coset_key(r, f.family, n): f.value_at(ctx, r) for r in reps.reps
-        },
-    )
+    return _retabulate(ctx, f, n, lambda g: g)

@@ -11,6 +11,7 @@ quotient G/H_L and certify only the image there; the reports say so.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,11 +51,7 @@ class HPoint:
         return self.x.values(), self.s.value
 
     def to_json(self) -> dict:
-        return {"x": self.x.to_json(), "s": self.s.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HPoint":
-        return cls(x=ModuleVec.from_json(obj["x"]), s=MadicInt.from_json(obj["s"]))
+        return {"x": list(self.x.values()), "s": self.s.value, "m": self.s.m, "n": self.s.n}
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,8 @@ class HeisenbergContext:
     profile: RadiusProfile = DEFAULT_PROFILE
 
     def __post_init__(self):
+        for v in (self.m, self.rank, self.precision):
+            operator.index(v)  # TypeError on non-integers
         if self.form.rank != self.rank:
             raise ContextMismatch(f"form rank {self.form.rank} != context rank {self.rank}")
         if self.m < 2 or self.precision < 1:
@@ -171,8 +170,8 @@ class HeisenbergContext:
         self._check(g, h)
         direct = self.mul(self.mul(g, h), self.inv(g))
         skew = bilinear_eval(self.form, g.x, h.x) - bilinear_eval(self.form, h.x, g.x)
-        closed = HPoint(x=h.x, s=h.s + skew)
-        assert direct == closed, "conjugation closed form violated"
+        if direct != HPoint(x=h.x, s=h.s + skew):
+            raise AssertionError("conjugation closed form violated")
         return direct
 
     def dilate(self, r: int, g: HPoint) -> HPoint:
@@ -187,12 +186,9 @@ class HeisenbergContext:
         self._check(g)
         if j < 0:
             raise DomainError("chain level must be nonnegative")
-        c = family.central_exponent
-        if j > self.precision or c * j > self.precision:
+        if family.central_exponent * j > self.precision:
             return None
-        mj = self.m ** j
-        mcj = self.m ** (c * j)
-        return all(v % mj == 0 for v in g.x.values()) and g.s.value % mcj == 0
+        return self._member_mod(g, family, j)
 
     def _membership_cap(self, family: ChainFamily) -> int:
         return self.precision // family.central_exponent
@@ -218,15 +214,34 @@ class HeisenbergContext:
 
     # finite quotients -----------------------------------------------------
 
+    def _level_guard(self, family: ChainFamily, level: int) -> int:
+        """Central exponent c, after checking 0 <= c*level <= precision."""
+        c = family.central_exponent
+        if level < 0:
+            raise DomainError("level must be nonnegative")
+        if c * level > self.precision:
+            raise PrecisionExceeded(f"level {level} needs precision >= {c * level}")
+        return c
+
+    def _digits(self, x_range: range, s_range: range):
+        """Lexicographic walk over the digit keys (xs, s) with every vector
+        digit in x_range and the central digit in s_range."""
+        for xs in itertools.product(x_range, repeat=self.rank):
+            for s in s_range:
+                yield xs, s
+
+    def coset_digits(self, family: ChainFamily, level: int):
+        """Canonical digit keys of the cosets of the level subgroup, in
+        lexicographic order: vector digits below m^level, central digit
+        below m^(c*level).  Each key is its own coset_key."""
+        c = self._level_guard(family, level)
+        return self._digits(range(self.m ** level), range(self.m ** (c * level)))
+
     def coset_key(self, g: HPoint, family: ChainFamily, level: int):
         """Canonical digits of the left coset of g at the given level:
         vector digits below m^level, central digit below m^(c*level)."""
         self._check(g)
-        c = family.central_exponent
-        if level < 0 or c * level > self.precision:
-            raise PrecisionExceeded(f"level {level} needs precision >= {c * level}")
-        if level == 0:
-            return ((0,) * self.rank, 0)
+        c = self._level_guard(family, level)
         ml = self.m ** level
         mcl = self.m ** (c * level)
         xs = g.x.values()
@@ -234,10 +249,6 @@ class HeisenbergContext:
         correction = self.form.eval_ints(x0, tuple(a - b for a, b in zip(x0, xs)))
         s0 = (g.s.value + correction) % mcl
         return (x0, s0)
-
-    def point_from_key(self, key) -> HPoint:
-        x0, s0 = key
-        return self.point(x0, s0)
 
     def project(self, g: HPoint, j: int) -> HPoint:
         """Quotient projection with kernel H_j, realized as truncation to
@@ -249,22 +260,7 @@ class HeisenbergContext:
 
     def _quotient_reps(self, level: int):
         """Canonical representatives of G/H_level, lexicographic in digits."""
-        if level > self.precision:
-            raise PrecisionExceeded(f"quotient level {level} > precision {self.precision}")
-        ml = self.m ** level
-        for xs in itertools.product(range(ml), repeat=self.rank):
-            for s in range(ml):
-                yield self.point(xs, s)
-
-    def _subgroup_reps(self, family: ChainFamily, j: int, level: int):
-        """Representatives of the level-j subgroup inside G/H_level."""
-        c = family.central_exponent
-        mj = self.m ** j
-        mcj = self.m ** (c * j)
-        ml = self.m ** level
-        for xs in itertools.product(range(0, ml, mj), repeat=self.rank):
-            for s in range(0, ml, mcj):
-                yield self.point(xs, s)
+        return (self.point(xs, s) for xs, s in self.coset_digits(ChainFamily.H, level))
 
     def _member_mod(self, g: HPoint, family: ChainFamily, j: int) -> bool:
         """Membership of the coset g*H_L in the image of the level-j
@@ -274,25 +270,31 @@ class HeisenbergContext:
         mcj = self.m ** (c * j)
         return all(v % mj == 0 for v in g.x.values()) and g.s.value % mcj == 0
 
+    def _quotient_guard(self, family: ChainFamily, quotient_level: int, *levels: int):
+        """Reject negative levels, chain levels G/H_L cannot see, and L > precision."""
+        if min(quotient_level, *levels) < 0:
+            raise DomainError("levels must be nonnegative")
+        if family.central_exponent * max(levels) > quotient_level:
+            raise LevelTooShallow(f"level {quotient_level} cannot see family-"
+                                  f"{family.value} levels up to {max(levels)}")
+        if quotient_level > self.precision:
+            raise PrecisionExceeded(
+                f"quotient level {quotient_level} > precision {self.precision}"
+            )
+
     def check_normality(self, family: ChainFamily, j: int,
                         quotient_level: int) -> NormalityReport:
         """Conjugate every subgroup representative by every quotient
         representative; the first escaping conjugate (in canonical order)
         is the witness.  A Normal verdict certifies the image in G/H_L only.
         """
-        c = family.central_exponent
-        if c * j > quotient_level:
-            raise LevelTooShallow(
-                f"level {quotient_level} cannot see the family-{family.value} subgroup at j={j}"
-            )
-        if quotient_level > self.precision:
-            raise PrecisionExceeded(
-                f"quotient level {quotient_level} > precision {self.precision}"
-            )
+        self._quotient_guard(family, quotient_level, j)
         scope = f"image in G/H_{quotient_level} only (finite-quotient certificate)"
         if j == 0:
             return NormalityReport(True, family, j, quotient_level, None, scope)
-        subgroup = list(self._subgroup_reps(family, j, quotient_level))
+        ml, mcj = self.m ** quotient_level, self.m ** (family.central_exponent * j)
+        subgroup = [self.point(xs, s) for xs, s in
+                    self._digits(range(0, ml, self.m ** j), range(0, ml, mcj))]
         for a in self._quotient_reps(quotient_level):
             for h in subgroup:
                 if not self._member_mod(self.conjugate(a, h), family, j):
@@ -304,20 +306,14 @@ class HeisenbergContext:
         """Search l <= depth with family_l contained in a <> family_j <> a^-1,
         verified on finite-quotient representatives."""
         self._check(a)
-        c = family.central_exponent
-        if c * j > quotient_level or c * depth > quotient_level:
-            raise LevelTooShallow(
-                f"level {quotient_level} cannot see family-{family.value} depths up to {depth}"
-            )
-        if quotient_level > self.precision:
-            raise PrecisionExceeded(
-                f"quotient level {quotient_level} > precision {self.precision}"
-            )
+        self._quotient_guard(family, quotient_level, j, depth)
         a_inv = self.inv(a)
+        ml, c = self.m ** quotient_level, family.central_exponent
         for l in range(depth + 1):
             ok = all(
-                self._member_mod(self.mul(self.mul(a_inv, h), a), family, j)
-                for h in self._subgroup_reps(family, l, quotient_level)
+                self._member_mod(self.mul(self.mul(a_inv, self.point(xs, s)), a), family, j)
+                for xs, s in self._digits(range(0, ml, self.m ** l),
+                                          range(0, ml, self.m ** (c * l)))
             )
             if ok:
                 return WeakNormalityReport(True, l, family, j, depth, quotient_level)

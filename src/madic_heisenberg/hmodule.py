@@ -8,6 +8,7 @@ modulus and precision at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import madic
@@ -82,7 +83,7 @@ class BilinearForm:
 
     @classmethod
     def from_rows(cls, rows) -> "BilinearForm":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(tuple(operator.index(v) for v in row) for row in rows))
 
     @property
     def rank(self) -> int:
@@ -129,7 +130,7 @@ def module_valuation(x: ModuleVec) -> ValuationResult:
 
 def apply_linear(rows, x: ModuleVec) -> ModuleVec:
     """Integer-matrix map; commutes with truncation (the induced level map)."""
-    matrix = [tuple(int(v) for v in row) for row in rows]
+    matrix = [tuple(operator.index(v) for v in row) for row in rows]
     if not matrix or any(len(row) != x.rank for row in matrix):
         raise RankMismatch(f"matrix columns must equal vector rank {x.rank}")
     vals = x.values()

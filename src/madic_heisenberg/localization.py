@@ -10,6 +10,7 @@ unreduced: equality is always the congruence oracle, never normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction as Rational
 
 from .errors import (
@@ -60,24 +61,16 @@ class BaseRing:
         raise DomainError(f"unknown ring label {s!r}")
 
 
-_closure_cache: dict = {}
-
-
+@lru_cache
 def _finite_closure(k: int, gens: tuple[int, ...]) -> frozenset:
     """Multiplicative closure of gens with 1 inside Z/kZ (fixpoint)."""
-    key = (k, gens)
-    cached = _closure_cache.get(key)
-    if cached is not None:
-        return cached
     closure = {1} | {g % k for g in gens}
     frontier = set(closure)
     while frontier:
         new = {(a * b) % k for a in frontier for b in closure} - closure
         closure |= new
         frontier = new
-    result = frozenset(closure)
-    _closure_cache[key] = result
-    return result
+    return frozenset(closure)
 
 
 def _generated_member_z(v: int, gens: tuple[int, ...]) -> bool:

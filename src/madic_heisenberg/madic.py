@@ -8,6 +8,7 @@ Composite m is fully supported.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -83,7 +84,7 @@ class MadicInt:
 
 
 def from_integer(x: int, m: int, n: int) -> MadicInt:
-    return MadicInt(m=m, n=n, value=x % m ** n)
+    return MadicInt(m=m, n=n, value=operator.index(x) % m ** n)
 
 
 def zero(m: int, n: int) -> MadicInt:

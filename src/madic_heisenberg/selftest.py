@@ -72,7 +72,7 @@ def _group(rng: random.Random) -> bool:
             return False
         if ctx.mul(g, ctx.inv(g)) != e:
             return False
-        ctx.conjugate(g, h)  # closed form asserted inside
+        ctx.conjugate(g, h)  # raises if the closed form is violated
         if ctx.dilate(2, ctx.dilate(3, g)) != ctx.dilate(6, g):
             return False
     return True

@@ -26,7 +26,10 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,50 @@ class TestExitCodes:
                       "--family", "G", "--level", "9")
         assert out.returncode == 1
 
+    def test_non_integer_point_rejected(self):
+        out = run_cli("mul", "--m", "2", "--N", "1", "--b", "[[1]]",
+                      "--g", '{"x": [0.5], "s": 0}', "--h", '{"x": [1], "s": 0}')
+        assert (out.returncode, out.stdout) == (2, b"")
+        assert out.stderr.startswith(b"TypeError")
+
+    def test_non_integer_form_rejected(self):
+        out = run_cli("mul", "--m", "2", "--N", "1", "--b", "[[1.9]]",
+                      "--g", '{"x": [1], "s": 0}', "--h", '{"x": [1], "s": 0}')
+        assert (out.returncode, out.stdout) == (2, b"")
+        assert out.stderr.startswith(b"TypeError")
+
+    def test_config_must_be_an_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[2, 1]")
+        out = run_cli("--config", str(cfg), "mul",
+                      "--g", '{"x": [1], "s": 0}', "--h", '{"x": [1], "s": 0}')
+        assert out.returncode == 2
+        assert b"Traceback" not in out.stderr
+
+    def test_zero_denominator_profile(self):
+        out = run_cli("dist", "--m", "2", "--x", "5", "--y", "13",
+                      "--profile", '{"kind": "geometric", "base": "1/0"}')
+        assert out.returncode == 2
+        assert b"Traceback" not in out.stderr
+
+    def test_zero_denominator_table(self, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"level": 0, "family": "G", "entries": [
+            {"rep": {"x": [0], "s": 0}, "value": "1/0"}]}))
+        out = run_cli("haar", "--m", "2", "--N", "1", "--b", "[[1]]",
+                      "--level", "0", "--function", f"@{table}")
+        assert out.returncode == 2
+        assert b"Traceback" not in out.stderr
+
+    def test_decimal_beyond_float_range(self, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"level": 0, "family": "G", "entries": [
+            {"rep": {"x": [0], "s": 0}, "value": f"{10 ** 400}/1"}]}))
+        out = run_cli("haar", "--m", "2", "--N", "1", "--b", "[[1]]",
+                      "--level", "0", "--function", f"@{table}", "--decimal")
+        assert (out.returncode, out.stdout) == (1, b"")
+        assert out.stderr.startswith(b"DomainError")
+
 
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path):

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from madic_heisenberg.errors import ContextMismatch, LevelTooShallow, PrecisionExceeded
+from madic_heisenberg.errors import (
+    ContextMismatch,
+    DomainError,
+    LevelTooShallow,
+    PrecisionExceeded,
+)
 from madic_heisenberg.heisenberg import ChainFamily, HeisenbergContext, HPoint
 from madic_heisenberg.hmodule import BilinearForm
 
@@ -248,6 +257,19 @@ class TestNormality:
         assert obj["witness"] is not None
         assert "certificate_scope" in obj and "level" in obj
 
+    def test_report_witness_uses_the_point_shape(self):
+        ctx = ctx_of(m=2, rank=2, form=UPPER2, n=6)
+        assert ctx.check_normality(G, 1, 4).to_json()["witness"] == {
+            "a": {"x": [0, 1], "s": 0, "m": 2, "n": 6},
+            "h": {"x": [2, 0], "s": 0, "m": 2, "n": 6},
+        }
+
+    def test_negative_levels_rejected(self):
+        ctx = ctx_of(m=2, rank=1, form=SCALAR, n=6)
+        for args in ((H, -1, 2), (G, 1, -1)):
+            with pytest.raises(DomainError):
+                ctx.check_normality(*args)
+
 
 class TestWeakNormality:
     def test_identity_conjugator(self):
@@ -268,3 +290,88 @@ class TestWeakNormality:
                     a = ctx.point((xv, yv), sv)
                     rep = ctx.check_weak_normality(G, a, 1, 2, 4)
                     assert rep.found and rep.level <= 2
+
+    def test_negative_levels_rejected(self):
+        ctx = ctx_of(m=2, rank=1, form=SCALAR, n=6)
+        e = ctx.identity()
+        for j, depth, level in ((1, -1, 4), (-1, 1, 4), (1, 1, -1)):
+            with pytest.raises(DomainError):
+                ctx.check_weak_normality(G, e, j, depth, level)
+
+
+class TestCosetDigits:
+    @pytest.mark.parametrize("m, rank, form, n", [(2, 1, SCALAR, 4), (3, 2, UPPER2, 2),
+                                                  (2, 2, ALT2, 4)])
+    def test_keys_are_their_own_coset_keys(self, m, rank, form, n):
+        ctx = ctx_of(m=m, rank=rank, form=form, n=n)
+        for family in (H, G):
+            for level in range(n // family.central_exponent + 1):
+                keys = list(ctx.coset_digits(family, level))
+                assert keys == sorted(keys)
+                assert len(keys) == m ** (level * (rank + family.central_exponent))
+                for k in keys:
+                    assert ctx.coset_key(ctx.point(*k), family, level) == k
+
+    def test_quotient_reps_walk_the_family_h_digits(self):
+        ctx = ctx_of(m=3, rank=2, form=UPPER2, n=2)
+        assert [g.values() for g in ctx._quotient_reps(1)] == list(ctx.coset_digits(H, 1))
+
+    def test_level_guard(self):
+        ctx = ctx_of(n=4)
+        with pytest.raises(PrecisionExceeded):
+            ctx.coset_digits(G, 3)
+        for call in (lambda: ctx.coset_digits(H, -1),
+                     lambda: ctx.coset_key(ctx.identity(), H, -1)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                call()
+
+
+class TestIntegerInput:
+    def test_point_json_shape(self):
+        ctx = ctx_of(m=10, rank=2, form=UPPER2, n=2)
+        assert ctx.point((3, 105), -1).to_json() == {"x": [3, 5], "s": 99, "m": 10, "n": 2}
+
+    def test_context_rejects_non_integers(self):
+        for kwargs in ({"m": 2.0}, {"rank": 1.0}, {"n": 6.5}):
+            with pytest.raises(TypeError):
+                ctx_of(**kwargs)
+
+    def test_point_rejects_non_integer_coordinates(self):
+        ctx = ctx_of()
+        for xs, s in (((0.5,), 0), ((1,), 0.5)):
+            with pytest.raises(TypeError):
+                ctx.point(xs, s)
+
+
+SELF_CHECKS_UNDER_O = """
+import sys
+from fractions import Fraction
+from madic_heisenberg import haar
+from madic_heisenberg.heisenberg import ChainFamily, HeisenbergContext
+from madic_heisenberg.hmodule import BilinearForm
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+ctx = HeisenbergContext(m=2, rank=1, form=BilinearForm.from_rows([[1]]), precision=4)
+HeisenbergContext.inv = lambda self, g: g
+try:
+    ctx.conjugate(ctx.point((1,), 0), ctx.point((1,), 1))
+except AssertionError:
+    print("conjugate raised")
+haar.average_over = lambda ctx, f, points: Fraction(2)
+try:
+    haar.integrate(ctx, haar.CylinderFunction.constant(ctx, ChainFamily.G, 1, 1), 2)
+except AssertionError:
+    print("integrate raised")
+"""
+
+
+class TestSelfChecks:
+    def test_runtime_checks_survive_python_O(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS_UNDER_O],
+                             capture_output=True, env=env, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["conjugate raised", "integrate raised"]

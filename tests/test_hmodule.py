@@ -107,6 +107,10 @@ class TestApplyLinear:
         with pytest.raises(RankMismatch):
             apply_linear([[1, 1, 1]], ModuleVec.from_integers((3, 5), 2, 3))
 
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            apply_linear([[1.5, 0]], ModuleVec.from_integers((3, 5), 2, 3))
+
     @given(vecs(2, 2, 5), st.integers(1, 5))
     def test_commutes_with_truncation(self, x, j):
         rows = [[2, -1], [3, 0], [1, 1]]
@@ -117,6 +121,10 @@ class TestSerialization:
     def test_form_round_trip(self):
         assert BilinearForm.from_json(UPPER.to_json()) == UPPER
         assert UPPER.to_json() == {"N": 2, "b": [[0, 1], [0, 0]]}
+
+    def test_form_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError):
+            BilinearForm.from_rows([[1.9]])
 
     def test_form_rejects_wrong_declared_rank(self):
         with pytest.raises(RankMismatch):

@@ -49,6 +49,12 @@ class TestMembership:
     def test_finite_closure(self):
         assert S63.closure() == frozenset({1, 3})
 
+    def test_closure_cache_is_bounded(self):
+        S63.closure()
+        info = loc._finite_closure.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert S63.closure() is S63.closure()
+
     def test_closure_with_zero_divisors(self):
         S = loc.MultSet.generated(Z6, [2])
         assert S.closure() == frozenset({1, 2, 4})

@@ -26,6 +26,10 @@ class TestConstruction:
     def test_already_reduced(self):
         assert madic.from_integer(7, 10, 4).value == 7
 
+    def test_rejects_non_integer(self):
+        with pytest.raises(TypeError):
+            madic.from_integer(0.5, 2, 6)
+
     def test_rejects_unreduced_value(self):
         with pytest.raises(Exception):
             MadicInt(2, 3, 8)
