@@ -171,8 +171,7 @@ def _cmd_frac(args, config):
     S = loc.MultSet.from_json(ring, json.loads(args.S))
     def parse(text):
         obj = json.loads(text)
-        return loc.Fraction(ring=ring, mult_set=S,
-                            num=int(obj["num"]), den=int(obj["den"]))
+        return loc.Fraction(ring=ring, mult_set=S, num=obj["num"], den=obj["den"])
     if args.op in ("add", "mul"):
         a, b = parse(args.a), parse(args.b)
         out = (loc.frac_add if args.op == "add" else loc.frac_mul)(a, b)

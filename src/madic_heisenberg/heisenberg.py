@@ -4,8 +4,8 @@ Elements are pairs (x, s) with x a vector and s a central scalar, under
 (x, s) <> (y, t) = (x + y, s + t + B(x, y)).  Two chain families are
 supported: H_j (vector and central coordinates both at depth j; normal)
 and G_j (central depth 2j; compatible with dilations, generally not
-normal).  Normality-style checks are exhaustive searches in the finite
-quotient G/H_L and certify only the image there; the reports say so.
+normal).  Normality checks in the finite quotient G/H_L are closed forms
+in A = B - B^T and certify only the image there; the reports say so.
 """
 
 from __future__ import annotations
@@ -223,19 +223,13 @@ class HeisenbergContext:
             raise PrecisionExceeded(f"level {level} needs precision >= {c * level}")
         return c
 
-    def _digits(self, x_range: range, s_range: range):
-        """Lexicographic walk over the digit keys (xs, s) with every vector
-        digit in x_range and the central digit in s_range."""
-        for xs in itertools.product(x_range, repeat=self.rank):
-            for s in s_range:
-                yield xs, s
-
     def coset_digits(self, family: ChainFamily, level: int):
         """Canonical digit keys of the cosets of the level subgroup, in
         lexicographic order: vector digits below m^level, central digit
         below m^(c*level).  Each key is its own coset_key."""
         c = self._level_guard(family, level)
-        return self._digits(range(self.m ** level), range(self.m ** (c * level)))
+        return ((xs, s) for xs in itertools.product(range(self.m ** level), repeat=self.rank)
+                for s in range(self.m ** (c * level)))
 
     def coset_key(self, g: HPoint, family: ChainFamily, level: int):
         """Canonical digits of the left coset of g at the given level:
@@ -284,37 +278,34 @@ class HeisenbergContext:
 
     def check_normality(self, family: ChainFamily, j: int,
                         quotient_level: int) -> NormalityReport:
-        """Conjugate every subgroup representative by every quotient
-        representative; the first escaping conjugate (in canonical order)
-        is the witness.  A Normal verdict certifies the image in G/H_L only.
-        """
+        """Conjugation adds x^T A y to the centre: H_j is always normal, G_j iff
+        m^j divides every entry of A.  Else the first escaping pair in canonical
+        order is (e_p, 0), (m^j e_q, 0) for the last entry (p, q) of A off m^j,
+        replayed here.  A Normal verdict certifies the image in G/H_L only."""
         self._quotient_guard(family, quotient_level, j)
         scope = f"image in G/H_{quotient_level} only (finite-quotient certificate)"
-        if j == 0:
+        mj, b = self.m ** j, self.form.b
+        escapes = [(p, q) for p in range(self.rank) for q in range(self.rank)
+                   if (b[p][q] - b[q][p]) % mj]
+        if family is ChainFamily.H or not escapes:
             return NormalityReport(True, family, j, quotient_level, None, scope)
-        ml, mcj = self.m ** quotient_level, self.m ** (family.central_exponent * j)
-        subgroup = [self.point(xs, s) for xs, s in
-                    self._digits(range(0, ml, self.m ** j), range(0, ml, mcj))]
-        for a in self._quotient_reps(quotient_level):
-            for h in subgroup:
-                if not self._member_mod(self.conjugate(a, h), family, j):
-                    return NormalityReport(False, family, j, quotient_level, (a, h), scope)
-        return NormalityReport(True, family, j, quotient_level, None, scope)
+        p, q = escapes[-1]
+        a = self.point([int(i == p) for i in range(self.rank)], 0)
+        h = self.point([mj * (i == q) for i in range(self.rank)], 0)
+        if self._member_mod(self.conjugate(a, h), family, j):
+            raise AssertionError("normality witness does not escape")
+        return NormalityReport(False, family, j, quotient_level, (a, h), scope)
 
     def check_weak_normality(self, family: ChainFamily, a: HPoint, j: int,
                              depth: int, quotient_level: int) -> WeakNormalityReport:
-        """Search l <= depth with family_l contained in a <> family_j <> a^-1,
-        verified on finite-quotient representatives."""
+        """Least l <= depth with family_l inside a^-1 <> family_j <> a in G/H_L:
+        the least l >= j with m^max(c*j - l, 0) dividing x^T A, for a = (x, s)."""
         self._check(a)
         self._quotient_guard(family, quotient_level, j, depth)
-        a_inv = self.inv(a)
-        ml, c = self.m ** quotient_level, family.central_exponent
-        for l in range(depth + 1):
-            ok = all(
-                self._member_mod(self.mul(self.mul(a_inv, self.point(xs, s)), a), family, j)
-                for xs, s in self._digits(range(0, ml, self.m ** l),
-                                          range(0, ml, self.m ** (c * l)))
-            )
-            if ok:
+        xs, b, c = a.x.values(), self.form.b, family.central_exponent
+        row = [sum(x * (b[p][q] - b[q][p]) for p, x in enumerate(xs))
+               for q in range(self.rank)]
+        for l in range(j, depth + 1):
+            if all(v % self.m ** max(c * j - l, 0) == 0 for v in row):
                 return WeakNormalityReport(True, l, family, j, depth, quotient_level)
         return WeakNormalityReport(False, None, family, j, depth, quotient_level)

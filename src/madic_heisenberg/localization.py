@@ -9,6 +9,7 @@ unreduced: equality is always the congruence oracle, never normal forms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction as Rational
@@ -44,7 +45,11 @@ class BaseRing:
         return self.kind == "Z"
 
     def reduce(self, v: int) -> int:
-        return int(v) if self.kind == "Z" else int(v) % self.k
+        """Residue of an int or a decimal string; TypeError on floats and bools."""
+        if isinstance(v, bool):
+            raise TypeError(f"expected an integer, got {v!r}")
+        v = int(v) if isinstance(v, str) else operator.index(v)
+        return v if self.kind == "Z" else v % self.k
 
     def is_zero(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -116,7 +121,7 @@ class MultSet:
     @classmethod
     def one_plus_ideal(cls, m: int) -> "MultSet":
         # only over Z: over Z/kZ the class 1 mod m need not be closed
-        if m < 2:
+        if operator.index(m) < 2:
             raise DomainError(f"ideal modulus must be >= 2, got {m}")
         return cls(ring=BaseRing.integers(), kind="one_plus_ideal", m=m)
 
@@ -204,7 +209,7 @@ class Fraction:
     def from_json(cls, obj: dict) -> "Fraction":
         ring = BaseRing.from_label(obj["ring"])
         return cls(ring=ring, mult_set=MultSet.from_json(ring, obj["S"]),
-                   num=int(obj["num"]), den=int(obj["den"]))
+                   num=obj["num"], den=obj["den"])
 
 
 def frac_equal(a: Fraction, b: Fraction) -> bool:
@@ -275,7 +280,7 @@ class ModuleFraction:
 
     def __post_init__(self):
         _check_module_set(self.mult_set)
-        object.__setattr__(self, "num", tuple(int(v) for v in self.num))
+        object.__setattr__(self, "num", tuple(self.mult_set.ring.reduce(v) for v in self.num))
         if not self.mult_set.contains(self.den):
             raise NotInMultiplicativeSet(f"denominator {self.den} is not in S")
 

@@ -8,9 +8,9 @@ Composite m is fully supported.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd
+from operator import index as _index
 
 from .errors import (
     DomainError,
@@ -49,6 +49,7 @@ class MadicInt:
     value: int
 
     def __post_init__(self):
+        _index(self.m), _index(self.n), _index(self.value)  # TypeError on non-integers
         if self.m < 2:
             raise DomainError(f"modulus must be >= 2, got {self.m}")
         if self.n < 1:
@@ -84,7 +85,7 @@ class MadicInt:
 
 
 def from_integer(x: int, m: int, n: int) -> MadicInt:
-    return MadicInt(m=m, n=n, value=operator.index(x) % m ** n)
+    return MadicInt(m=m, n=n, value=_index(x) % m ** n)
 
 
 def zero(m: int, n: int) -> MadicInt:

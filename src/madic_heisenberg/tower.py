@@ -10,6 +10,7 @@ divisibility of their generators, up to an explicit depth bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -111,13 +112,13 @@ class ChainSpec:
 
     @classmethod
     def ideal_power(cls, m: int) -> "ChainSpec":
-        if m < 2:
+        if operator.index(m) < 2:
             raise InvalidChain(f"modulus must be >= 2, got {m}")
         return cls(kind="ideal_power", m=m)
 
     @classmethod
     def explicit(cls, generators) -> "ChainSpec":
-        gens = tuple(int(g) for g in generators)
+        gens = tuple(operator.index(g) for g in generators)
         if len(gens) < 2:
             raise InvalidChain("explicit chain needs at least two generators")
         if gens[0] != 1:

@@ -134,6 +134,25 @@ class TestExitCodes:
         assert (out.returncode, out.stdout) == (2, b"")
         assert out.stderr.startswith(b"TypeError")
 
+    def test_non_integer_fraction_rejected(self):
+        half = '{"num": 1, "den": 2}'
+        for S, a in (('{"kind": "generated", "gens": [2.5]}', half),
+                     ('{"kind": "generated", "gens": [2]}', '{"num": 1.9, "den": 2}')):
+            out = run_cli("frac", "--S", S, "--op", "add", "--a", a, "--b", half)
+            assert (out.returncode, out.stdout) == (2, b"")
+            assert out.stderr.startswith(b"TypeError")
+
+    def test_fraction_decimal_strings_accepted(self):
+        out = run_cli("frac", "--S", '{"kind": "generated", "gens": [2, 3]}', "--op", "add",
+                      "--a", '{"num": "1", "den": "2"}', "--b", '{"num": 1, "den": 3}')
+        assert (out.returncode, json.loads(out.stdout)["num"]) == (0, "5")
+
+    def test_non_integer_chain_rejected(self):
+        out = run_cli("dist", "--chain", '{"kind": "ideal_power", "m": 2.5}',
+                      "--x", "5", "--y", "13")
+        assert (out.returncode, out.stdout) == (2, b"")
+        assert out.stderr.startswith(b"TypeError")
+
     def test_config_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[2, 1]")

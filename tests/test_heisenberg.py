@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from madic_heisenberg.errors import (
     ContextMismatch,
@@ -13,7 +14,13 @@ from madic_heisenberg.errors import (
     LevelTooShallow,
     PrecisionExceeded,
 )
-from madic_heisenberg.heisenberg import ChainFamily, HeisenbergContext, HPoint
+from madic_heisenberg.heisenberg import (
+    ChainFamily,
+    HeisenbergContext,
+    HPoint,
+    NormalityReport,
+    WeakNormalityReport,
+)
 from madic_heisenberg.hmodule import BilinearForm
 
 H, G = ChainFamily.H, ChainFamily.G
@@ -269,6 +276,136 @@ class TestNormality:
         for args in ((H, -1, 2), (G, 1, -1)):
             with pytest.raises(DomainError):
                 ctx.check_normality(*args)
+
+
+# Brute-force oracle: the exhaustive G/H_L scans that the closed forms in
+# check_normality and check_weak_normality replaced, kept verbatim.
+
+def _digits(rank, x_range, s_range):
+    """Lexicographic walk over the digit keys (xs, s) with every vector
+    digit in x_range and the central digit in s_range."""
+    for xs in itertools.product(x_range, repeat=rank):
+        for s in s_range:
+            yield xs, s
+
+
+def scan_normality(ctx, family, j, quotient_level):
+    """Conjugate every subgroup representative by every quotient
+    representative; the first escaping conjugate (in canonical order)
+    is the witness."""
+    ctx._quotient_guard(family, quotient_level, j)
+    scope = f"image in G/H_{quotient_level} only (finite-quotient certificate)"
+    if j == 0:
+        return NormalityReport(True, family, j, quotient_level, None, scope)
+    ml, mcj = ctx.m ** quotient_level, ctx.m ** (family.central_exponent * j)
+    subgroup = [ctx.point(xs, s) for xs, s in
+                _digits(ctx.rank, range(0, ml, ctx.m ** j), range(0, ml, mcj))]
+    for a in ctx._quotient_reps(quotient_level):
+        for h in subgroup:
+            if not ctx._member_mod(ctx.conjugate(a, h), family, j):
+                return NormalityReport(False, family, j, quotient_level, (a, h), scope)
+    return NormalityReport(True, family, j, quotient_level, None, scope)
+
+
+def scan_weak_normality(ctx, family, a, j, depth, quotient_level):
+    """Search l <= depth with family_l contained in a <> family_j <> a^-1,
+    verified on finite-quotient representatives."""
+    ctx._check(a)
+    ctx._quotient_guard(family, quotient_level, j, depth)
+    a_inv = ctx.inv(a)
+    ml, c = ctx.m ** quotient_level, family.central_exponent
+    for l in range(depth + 1):
+        ok = all(
+            ctx._member_mod(ctx.mul(ctx.mul(a_inv, ctx.point(xs, s)), a), family, j)
+            for xs, s in _digits(ctx.rank, range(0, ml, ctx.m ** l),
+                                 range(0, ml, ctx.m ** (c * l)))
+        )
+        if ok:
+            return WeakNormalityReport(True, l, family, j, depth, quotient_level)
+    return WeakNormalityReport(False, None, family, j, depth, quotient_level)
+
+
+# Most conjugations one oracle call may need (about 0.1 ms each), so the
+# grids below stay small enough to scan.
+ORACLE_BUDGET = 3000
+
+
+def _scan_size(m, rank, c, l, level):
+    """Representatives of the level-l subgroup inside G/H_level."""
+    return m ** (rank * (level - l)) * len(range(0, m ** level, m ** (c * l)))
+
+
+def _normality_cases(m, rank, n):
+    return [(family, j, level)
+            for level in range(n + 1) for family in (H, G)
+            for j in range(level // family.central_exponent + 1)
+            if j == 0 or m ** (level * (rank + 1)) * _scan_size(
+                m, rank, family.central_exponent, j, level) <= ORACLE_BUDGET]
+
+
+def _weak_cases(m, rank, n):
+    # a level l < j fails by the second representative (0, m^(c*l)), so
+    # only the levels from j on can cost a full scan
+    return [(family, j, depth, level)
+            for level in range(n + 1) for family in (H, G)
+            for j in range(level // family.central_exponent + 1)
+            for depth in range(level // family.central_exponent + 1)
+            if sum(_scan_size(m, rank, family.central_exponent, l, level)
+                   for l in range(j, depth + 1)) <= ORACLE_BUDGET]
+
+
+def _adic(m):
+    """Integers of varied m-adic valuation."""
+    return st.builds(lambda u, k: u * m ** k, st.integers(-9, 9), st.integers(0, 2))
+
+
+@st.composite
+def small_groups(draw):
+    m = draw(st.sampled_from([2, 3, 4, 6]))
+    rank = draw(st.sampled_from([1, 2]))
+    rows = [[draw(_adic(m)) for _ in range(rank)] for _ in range(rank)]
+    n = draw(st.integers(1, 6))
+    return HeisenbergContext(m=m, rank=rank, form=BilinearForm.from_rows(rows), precision=n)
+
+
+class TestClosedFormsAgainstOracle:
+    @given(st.data())
+    def test_normality_matches_scan(self, data):
+        ctx = data.draw(small_groups())
+        family, j, level = data.draw(st.sampled_from(
+            _normality_cases(ctx.m, ctx.rank, ctx.precision)))
+        assert ctx.check_normality(family, j, level) == scan_normality(ctx, family, j, level)
+
+    # most drawn cases are decided by j alone (family H, or x^T A = 0); more
+    # examples reach the ones where the valuation of x^T A sets the level
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_weak_normality_matches_scan(self, data):
+        ctx = data.draw(small_groups())
+        family, j, depth, level = data.draw(st.sampled_from(
+            _weak_cases(ctx.m, ctx.rank, ctx.precision)))
+        a = ctx.point([data.draw(_adic(ctx.m)) for _ in range(ctx.rank)],
+                      data.draw(st.integers(0, ctx.m ** ctx.precision - 1)))
+        assert ctx.check_weak_normality(family, a, j, depth, level) == \
+            scan_weak_normality(ctx, family, a, j, depth, level)
+
+    def test_readme_example_matches_scan(self):
+        ctx = ctx_of(m=2, rank=2, form=UPPER2, n=6)
+        assert ctx.check_normality(G, 1, 4) == scan_normality(ctx, G, 1, 4)
+
+    def test_depth_beyond_any_scan(self):
+        # G/H_60 has 2^180 elements; no scan reaches it
+        ctx = ctx_of(m=2, rank=2, form=UPPER2, n=128)
+        rep = ctx.check_normality(G, 30, 60)
+        assert not rep.normal
+        assert [g.values() for g in rep.witness] == [((0, 1), 0), ((2 ** 30, 0), 0)]
+        assert ctx.check_normality(H, 30, 60).normal
+        deep = ctx_of(m=2, rank=2, form=BilinearForm.from_rows([[0, 2 ** 40], [0, 0]]), n=128)
+        assert deep.check_normality(G, 30, 60).normal
+        # x^T A = (-2^15, 0): the least l is 2j - 15
+        a = ctx.point((0, 2 ** 15), 7)
+        assert ctx.check_weak_normality(G, a, 20, 30, 60).level == 25
+        assert not ctx.check_weak_normality(G, a, 20, 24, 60).found
 
 
 class TestWeakNormality:

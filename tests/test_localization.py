@@ -235,6 +235,19 @@ class TestSerialization:
                                "num": "1", "den": "6"}
         assert loc.frac_equal(loc.Fraction.from_json(x.to_json()), x)
 
+    def test_non_integers_rejected(self):
+        for gens in ([2.5], [True]):
+            with pytest.raises(TypeError):
+                loc.MultSet.from_json(Z, {"kind": "generated", "gens": gens})
+        with pytest.raises(TypeError):
+            loc.MultSet.from_json(Z, {"kind": "one_plus_ideal", "m": 2.5})
+        good = loc.Fraction(ring=Z, mult_set=S23, num=1, den=6).to_json()
+        for field, value in (("num", 1.9), ("den", 6.0), ("num", False)):
+            with pytest.raises(TypeError):
+                loc.Fraction.from_json({**good, field: value})
+        with pytest.raises(TypeError):
+            loc.ModuleFraction(mult_set=S23, num=(1, 0.5), den=2)
+
     def test_zmod_label_round_trip(self):
         x = loc.Fraction(ring=Z6, mult_set=S63, num=2, den=3)
         again = loc.Fraction.from_json(x.to_json())

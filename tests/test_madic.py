@@ -30,6 +30,11 @@ class TestConstruction:
         with pytest.raises(TypeError):
             madic.from_integer(0.5, 2, 6)
 
+    def test_rejects_non_integer_fields(self):
+        for args in ((2, 3, 0.5), (2.0, 3, 1), (2, 3.0, 1)):
+            with pytest.raises(TypeError):
+                MadicInt(*args)
+
     def test_rejects_unreduced_value(self):
         with pytest.raises(Exception):
             MadicInt(2, 3, 8)

@@ -101,6 +101,13 @@ class TestChains:
         c = ChainSpec.explicit([1, 2, 2, 4])
         assert c.generator(2) == 2
 
+    def test_rejects_non_integers(self):
+        for bad in ({"kind": "ideal_power", "m": 2.5},
+                    {"kind": "explicit", "generators": [1, 2.5, 5]},
+                    {"kind": "explicit", "generators": [1, 3.9, 9]}):
+            with pytest.raises(TypeError):
+                ChainSpec.from_json(bad)
+
     def test_json_round_trip(self):
         for c in (ChainSpec.ideal_power(10), ChainSpec.explicit([1, 3, 9])):
             assert ChainSpec.from_json(c.to_json()) == c
