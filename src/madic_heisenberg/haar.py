@@ -32,7 +32,7 @@ class CosetReps:
 def enumerate_cosets(ctx: HeisenbergContext, family: ChainFamily, n: int) -> CosetReps:
     """Canonical coset representatives at level n, in the order of
     ctx.coset_digits."""
-    reps = tuple(ctx.point(xs, s) for xs, s in ctx.coset_digits(family, n))
+    reps = tuple(ctx._new(xs, s) for xs, s in ctx.coset_digits(family, n))
     return CosetReps(level=n, family=family, reps=reps)
 
 
@@ -128,10 +128,11 @@ def integrate(ctx: HeisenbergContext, f: CylinderFunction, n: int | None = None)
 
 def _retabulate(ctx: HeisenbergContext, f: CylinderFunction, level: int,
                 compose) -> CylinderFunction:
-    """g -> f(compose(g)) tabulated over the canonical cosets at level."""
+    """g -> f(compose(g)) tabulated over the canonical cosets at level;
+    compose maps a digit key to the residues (xs, s) of a point."""
+    key = ctx._keyer(f.family, f.level)
     return CylinderFunction(level=level, family=f.family, table={
-        k: f.value_at(ctx, compose(ctx.point(*k))) for k in ctx.coset_digits(f.family, level)
-    })
+        k: f.table[key(compose(k))] for k in ctx.coset_digits(f.family, level)})
 
 
 def translate(ctx: HeisenbergContext, f: CylinderFunction, a: HPoint,
@@ -141,11 +142,12 @@ def translate(ctx: HeisenbergContext, f: CylinderFunction, a: HPoint,
     (where it is only a level-2l cylinder function) and at level l for
     the normal family H."""
     f.check_complete(ctx)
+    ctx._check(a)
     if side == "left":
-        return _retabulate(ctx, f, f.level, lambda g: ctx.mul(a, g))
+        return _retabulate(ctx, f, f.level, lambda k: ctx._law(a, k))
     if side == "right":
         new_level = f.level if f.family is ChainFamily.H else 2 * f.level
-        return _retabulate(ctx, f, new_level, lambda g: ctx.mul(g, a))
+        return _retabulate(ctx, f, new_level, lambda k: ctx._law(k, a))
     raise DomainError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -155,4 +157,4 @@ def pushforward_table(ctx: HeisenbergContext, f: CylinderFunction,
     integral is preserved exactly."""
     if n <= f.level:
         raise DomainError(f"target level {n} must exceed function level {f.level}")
-    return _retabulate(ctx, f, n, lambda g: g)
+    return _retabulate(ctx, f, n, lambda k: k)

@@ -1,29 +1,29 @@
 """The Heisenberg group over the m-adic completion and its chain geometry.
 
 Elements are pairs (x, s) with x a vector and s a central scalar, under
-(x, s) <> (y, t) = (x + y, s + t + B(x, y)).  Two chain families are
-supported: H_j (vector and central coordinates both at depth j; normal)
-and G_j (central depth 2j; compatible with dilations, generally not
-normal).  Normality checks in the finite quotient G/H_L are closed forms
-in A = B - B^T and certify only the image there; the reports say so.
+(x, s) <> (y, t) = (x + y, s + t + B(x, y)), stored as integer residues
+mod m^n with MadicInt and ModuleVec views on request.  Two chain families
+are supported: H_j (vector and central coordinates both at depth j;
+normal) and G_j (central depth 2j; compatible with dilations, generally
+not normal).  Normality checks in the finite quotient G/H_L are closed
+forms in A = B - B^T and certify only the image there; the reports say so.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from . import madic
 from .errors import (
     ContextMismatch,
     DomainError,
     LevelTooShallow,
     PrecisionExceeded,
 )
-from .hmodule import BilinearForm, ModuleVec, bilinear_eval
+from .hmodule import BilinearForm, ModuleVec
 from .madic import MadicInt
 from .tower import DEFAULT_PROFILE, RadiusProfile
 
@@ -38,20 +38,42 @@ class ChainFamily(Enum):
         return 1 if self is ChainFamily.H else 2
 
 
-@dataclass(frozen=True)
-class HPoint:
-    x: ModuleVec
-    s: MadicInt
+_tuple_new = tuple.__new__
 
-    def __post_init__(self):
-        if self.x.m != self.s.m or self.x.n != self.s.n:
+
+class HPoint(tuple):
+    """A point (x, s) at precision n as the immutable tuple (xs, z, m, n) of
+    vector residues xs and central residue z mod m^n; equality and hashing
+    are the tuple's.  .x and .s are ModuleVec and MadicInt views built on
+    request, and HPoint(x=..., s=...) builds a point from such views."""
+
+    __slots__ = ()
+    xs = property(operator.itemgetter(0))
+    z = property(operator.itemgetter(1))
+    m = property(operator.itemgetter(2))
+    n = property(operator.itemgetter(3))
+
+    def __new__(cls, x: ModuleVec, s: MadicInt):
+        if x.m != s.m or x.n != s.n:
             raise ContextMismatch("vector and central coordinates disagree on (m, n)")
+        return _tuple_new(cls, (x.values(), s.value, s.m, s.n))
+
+    def __getnewargs__(self):
+        return self.x, self.s
+
+    @property
+    def x(self) -> ModuleVec:
+        return ModuleVec.from_integers(self.xs, self.m, self.n)
+
+    @property
+    def s(self) -> MadicInt:
+        return MadicInt(self.m, self.n, self.z)
 
     def values(self) -> tuple[tuple[int, ...], int]:
-        return self.x.values(), self.s.value
+        return self.xs, self.z
 
     def to_json(self) -> dict:
-        return {"x": list(self.x.values()), "s": self.s.value, "m": self.s.m, "n": self.s.n}
+        return {"x": list(self.xs), "s": self.z, "m": self.m, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -116,13 +138,15 @@ class WeakNormalityReport:
 @dataclass(frozen=True)
 class HeisenbergContext:
     """Fixes one group: modulus, rank, bilinear form, radius profile,
-    working precision.  All elements built through a context share them."""
+    working precision and M = m**precision.  Every operation works on the
+    residues mod M and rejects points of another (m, precision, rank)."""
 
     m: int
     rank: int
     form: BilinearForm
     precision: int
     profile: RadiusProfile = DEFAULT_PROFILE
+    M: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in (self.m, self.rank, self.precision):
@@ -131,17 +155,20 @@ class HeisenbergContext:
             raise ContextMismatch(f"form rank {self.form.rank} != context rank {self.rank}")
         if self.m < 2 or self.precision < 1:
             raise DomainError("need modulus >= 2 and precision >= 1")
+        object.__setattr__(self, "M", self.m ** self.precision)
+
+    def _new(self, xs: tuple[int, ...], z: int) -> HPoint:
+        """The point with these residues, which must already be reduced mod M."""
+        return _tuple_new(HPoint, (xs, z, self.m, self.precision))
 
     def point(self, xs, s: int) -> HPoint:
-        if len(tuple(xs)) != self.rank:
+        xs, M = tuple(xs), self.M
+        if len(xs) != self.rank:
             raise ContextMismatch(f"expected {self.rank} vector coordinates")
-        return HPoint(
-            x=ModuleVec.from_integers(xs, self.m, self.precision),
-            s=madic.from_integer(s, self.m, self.precision),
-        )
+        return self._new(tuple([operator.index(v) % M for v in xs]), operator.index(s) % M)
 
     def identity(self) -> HPoint:
-        return self.point((0,) * self.rank, 0)
+        return self._new((0,) * self.rank, 0)
 
     def at_precision(self, j: int) -> "HeisenbergContext":
         if not (1 <= j <= self.precision):
@@ -151,32 +178,41 @@ class HeisenbergContext:
 
     def _check(self, *points: HPoint):
         for g in points:
-            if g.x.rank != self.rank or g.x.m != self.m or g.x.n != self.precision:
+            if g.m != self.m or g.n != self.precision or len(g.xs) != self.rank:
                 raise ContextMismatch(f"point {g} does not belong to this context")
 
     # group law ------------------------------------------------------------
 
+    def _law(self, g, h) -> tuple[tuple[int, ...], int]:
+        """Residues of g <> h from the (xs, s) pairs leading g and h, which
+        may be points or coset digit keys; no context check."""
+        M, x, y = self.M, g[0], h[0]
+        return (tuple([(a + b) % M for a, b in zip(x, y)]),
+                (g[1] + h[1] + self.form.eval_ints(x, y)) % M)
+
     def mul(self, g: HPoint, h: HPoint) -> HPoint:
         self._check(g, h)
-        return HPoint(x=g.x + h.x, s=g.s + h.s + bilinear_eval(self.form, g.x, h.x))
+        return self._new(*self._law(g, h))
 
     def inv(self, g: HPoint) -> HPoint:
         self._check(g)
-        return HPoint(x=-g.x, s=-g.s + bilinear_eval(self.form, g.x, g.x))
+        M, x = self.M, g.xs
+        return self._new(tuple([-a % M for a in x]), (self.form.eval_ints(x, x) - g.z) % M)
 
     def conjugate(self, g: HPoint, h: HPoint) -> HPoint:
         """(g <> h) <> g^-1, checked against the closed form
         (y, t + B(x, y) - B(y, x))."""
         self._check(g, h)
         direct = self.mul(self.mul(g, h), self.inv(g))
-        skew = bilinear_eval(self.form, g.x, h.x) - bilinear_eval(self.form, h.x, g.x)
-        if direct != HPoint(x=h.x, s=h.s + skew):
+        x, y, b = g.xs, h.xs, self.form.eval_ints
+        if direct != self._new(y, (h.z + b(x, y) - b(y, x)) % self.M):
             raise AssertionError("conjugation closed form violated")
         return direct
 
     def dilate(self, r: int, g: HPoint) -> HPoint:
         self._check(g)
-        return HPoint(x=g.x.scale(r), s=madic.scale(r * r, g.s))
+        r, M = operator.index(r), self.M
+        return self._new(tuple([r * a % M for a in g.xs]), r * r * g.z % M)
 
     # chains ---------------------------------------------------------------
 
@@ -190,9 +226,6 @@ class HeisenbergContext:
             return None
         return self._member_mod(g, family, j)
 
-    def _membership_cap(self, family: ChainFamily) -> int:
-        return self.precision // family.central_exponent
-
     def group_distance(self, g: HPoint, h: HPoint,
                        family: ChainFamily = ChainFamily.H) -> GroupDistance:
         """d(g, h) = rho(h^-1 <> g) with rho from the family chain.
@@ -201,13 +234,13 @@ class HeisenbergContext:
         precision; hitting the cap yields an inexact (lower bound) result.
         """
         self._check(g, h)
-        z = self.mul(self.inv(h), g)
-        cap = self._membership_cap(family)
+        d = self.mul(self.inv(h), g)
+        cap = self.precision // family.central_exponent
         depth = 0
-        while depth < cap and self.chain_member(z, family, depth + 1):
+        while depth < cap and self._member_mod(d, family, depth + 1):
             depth += 1
         if depth == cap:
-            trivial = all(v == 0 for v in z.x.values()) and z.s.value == 0
+            trivial = not any(d.xs) and d.z == 0
             radius = Fraction(0) if trivial else self.profile.radius(cap)
             return GroupDistance(valuation=cap, radius=radius, exact=False)
         return GroupDistance(valuation=depth, radius=self.profile.radius(depth), exact=True)
@@ -231,38 +264,40 @@ class HeisenbergContext:
         return ((xs, s) for xs in itertools.product(range(self.m ** level), repeat=self.rank)
                 for s in range(self.m ** (c * level)))
 
+    def _keyer(self, family: ChainFamily, level: int):
+        """coset_key at this level, level-guarded once, as a function of the
+        (xs, s) pair leading a point or digit key; no context check."""
+        c = self._level_guard(family, level)
+        ml, mcl, b = self.m ** level, self.m ** (c * level), self.form.eval_ints
+
+        def key(g):
+            xs = g[0]
+            x0 = tuple([v % ml for v in xs])
+            return x0, (g[1] + b(x0, tuple([a - v for a, v in zip(x0, xs)]))) % mcl
+        return key
+
     def coset_key(self, g: HPoint, family: ChainFamily, level: int):
         """Canonical digits of the left coset of g at the given level:
         vector digits below m^level, central digit below m^(c*level)."""
         self._check(g)
-        c = self._level_guard(family, level)
-        ml = self.m ** level
-        mcl = self.m ** (c * level)
-        xs = g.x.values()
-        x0 = tuple(v % ml for v in xs)
-        correction = self.form.eval_ints(x0, tuple(a - b for a, b in zip(x0, xs)))
-        s0 = (g.s.value + correction) % mcl
-        return (x0, s0)
+        return self._keyer(family, level)(g)
 
     def project(self, g: HPoint, j: int) -> HPoint:
         """Quotient projection with kernel H_j, realized as truncation to
         precision j; operate on the result through at_precision(j)."""
         self._check(g)
-        if not (1 <= j <= self.precision):
-            raise PrecisionExceeded(f"level {j} outside 1..{self.precision}")
-        return HPoint(x=g.x.truncate(j), s=madic.truncate(g.s, j))
+        low = self.at_precision(j)
+        return low._new(tuple([v % low.M for v in g.xs]), g.z % low.M)
 
     def _quotient_reps(self, level: int):
         """Canonical representatives of G/H_level, lexicographic in digits."""
-        return (self.point(xs, s) for xs, s in self.coset_digits(ChainFamily.H, level))
+        return (self._new(xs, s) for xs, s in self.coset_digits(ChainFamily.H, level))
 
     def _member_mod(self, g: HPoint, family: ChainFamily, j: int) -> bool:
         """Membership of the coset g*H_L in the image of the level-j
         subgroup, which reduces to plain digit divisibility."""
-        c = family.central_exponent
         mj = self.m ** j
-        mcj = self.m ** (c * j)
-        return all(v % mj == 0 for v in g.x.values()) and g.s.value % mcj == 0
+        return all(v % mj == 0 for v in g.xs) and g.z % mj ** family.central_exponent == 0
 
     def _quotient_guard(self, family: ChainFamily, quotient_level: int, *levels: int):
         """Reject negative levels, chain levels G/H_L cannot see, and L > precision."""
@@ -302,7 +337,7 @@ class HeisenbergContext:
         the least l >= j with m^max(c*j - l, 0) dividing x^T A, for a = (x, s)."""
         self._check(a)
         self._quotient_guard(family, quotient_level, j, depth)
-        xs, b, c = a.x.values(), self.form.b, family.central_exponent
+        xs, b, c = a.xs, self.form.b, family.central_exponent
         row = [sum(x * (b[p][q] - b[q][p]) for p, x in enumerate(xs))
                for q in range(self.rank)]
         for l in range(j, depth + 1):

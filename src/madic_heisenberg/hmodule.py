@@ -1,9 +1,10 @@
 """Free modules over the m-adic completion and integer bilinear forms.
 
-Vectors are N-tuples of MadicInt sharing one (m, n).  The submodule chain
-is always (m^j Z)^N, so membership is a valuation test.  Bilinear-form
-coefficients are plain integers: one matrix reduces coherently into every
-modulus and precision at once.
+Vectors are N-tuples of MadicInt sharing one (m, n); Heisenberg points
+build them only as views.  The submodule chain is (m^j Z)^N, so membership
+is a valuation test.  Bilinear-form coefficients are plain integers: one
+matrix reduces into every modulus and precision, and eval_ints is the
+integer-level B(x, y) of the group law.
 """
 
 from __future__ import annotations
@@ -90,12 +91,8 @@ class BilinearForm:
         return len(self.b)
 
     def eval_ints(self, xs, ys) -> int:
-        """The double sum over plain integers, unreduced."""
-        return sum(
-            self.b[p][q] * xs[p] * ys[q]
-            for p in range(self.rank)
-            for q in range(self.rank)
-        )
+        """The double sum over plain integers of rank-length xs and ys, unreduced."""
+        return sum(map(operator.mul, xs, [sum(map(operator.mul, row, ys)) for row in self.b]))
 
     def to_json(self) -> dict:
         return {"N": self.rank, "b": [list(row) for row in self.b]}

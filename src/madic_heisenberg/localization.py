@@ -21,6 +21,7 @@ from .errors import (
     RankMismatch,
 )
 from .hmodule import BilinearForm
+from .madic import parse_int
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,7 @@ class BaseRing:
 
     def reduce(self, v: int) -> int:
         """Residue of an int or a decimal string; TypeError on floats and bools."""
-        if isinstance(v, bool):
-            raise TypeError(f"expected an integer, got {v!r}")
-        v = int(v) if isinstance(v, str) else operator.index(v)
+        v = parse_int(v)
         return v if self.kind == "Z" else v % self.k
 
     def is_zero(self, v: int) -> bool:

@@ -42,6 +42,13 @@ class ValuationResult:
         return f"Exact({self.bound})" if self.is_exact else f"AtLeast({self.bound})"
 
 
+def parse_int(v) -> int:
+    """An int, or a decimal string as to_json writes; TypeError on floats and bools."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v) if isinstance(v, str) else _index(v)
+
+
 @dataclass(frozen=True)
 class MadicInt:
     m: int
@@ -81,7 +88,7 @@ class MadicInt:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MadicInt":
-        return cls(m=obj["m"], n=obj["n"], value=int(obj["value"]))
+        return cls(m=obj["m"], n=obj["n"], value=parse_int(obj["value"]))
 
 
 def from_integer(x: int, m: int, n: int) -> MadicInt:
@@ -170,7 +177,7 @@ def geom_inverse_one_minus(x: MadicInt) -> MadicInt:
 def from_residues(m: int, residues) -> MadicInt:
     """Build an element from (level, residue) pairs, checking coherence
     under the truncation maps.  Levels must be strictly increasing."""
-    pairs = [(int(j), int(r)) for j, r in residues]
+    pairs = [(parse_int(j), parse_int(r)) for j, r in residues]
     if not pairs:
         raise DomainError("at least one residue is required")
     for (j, _), (l, _) in zip(pairs, pairs[1:]):

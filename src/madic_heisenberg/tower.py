@@ -69,7 +69,7 @@ class RadiusProfile:
         """r_j; by convention 0 at valuation +inf."""
         if j == INFINITY:
             return Fraction(0)
-        j = int(j)
+        j = operator.index(j)
         if j < 0:
             raise InvalidProfile("radius index must be nonnegative")
         if self.kind == "geometric":

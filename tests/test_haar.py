@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from madic_heisenberg.errors import DomainError, PrecisionExceeded
+from madic_heisenberg.errors import ContextMismatch, DomainError, PrecisionExceeded
 from madic_heisenberg.haar import (
     CylinderFunction,
     average_over,
@@ -145,6 +145,34 @@ class TestTranslate:
         with pytest.raises(DomainError):
             translate(CTX21, f, CTX21.identity(), "up")
 
+    def test_tables_match_pointwise_definition(self):
+        # left: g -> f(a <> g), right: g -> f(g <> a), read off at the
+        # canonical representative of every output coset
+        rng = random.Random(43)
+        for ctx, fam in ((CTX21, G), (CTX21, H), (CTX32, H)):
+            f = random_table(ctx, fam, 1, rng)
+            for a in (ctx.point((3,) * ctx.rank, 5), ctx.point((1,) + (0,) * (ctx.rank - 1), 7)):
+                for side, compose in (("left", lambda g: ctx.mul(a, g)),
+                                      ("right", lambda g: ctx.mul(g, a))):
+                    out = translate(ctx, f, a, side)
+                    assert out.table == {k: f.value_at(ctx, compose(ctx.point(*k)))
+                                         for k in ctx.coset_digits(fam, out.level)}
+
+    @pytest.mark.parametrize("a", [
+        HeisenbergContext(m=2, rank=1, form=BilinearForm.from_rows([[1]]),
+                          precision=3).point((1,), 1),
+        HeisenbergContext(m=3, rank=1, form=BilinearForm.from_rows([[1]]),
+                          precision=4).point((1,), 1),
+        CTX32.point((1, 0), 1),
+    ])
+    def test_foreign_points_rejected(self, a):
+        f = CylinderFunction.constant(CTX21, G, 1, 1)
+        for side in ("left", "right"):
+            with pytest.raises(ContextMismatch):
+                translate(CTX21, f, a, side)
+        with pytest.raises(ContextMismatch):
+            f.value_at(CTX21, a)
+
 
 class TestPushforward:
     def test_integral_preserved(self):
@@ -158,6 +186,14 @@ class TestPushforward:
         f = CylinderFunction.constant(CTX32, H, 1, Fraction(2, 5))
         lifted = pushforward_table(CTX32, f, 2)
         assert set(lifted.table.values()) == {Fraction(2, 5)}
+
+    def test_table_matches_pointwise_definition(self):
+        rng = random.Random(47)
+        for ctx, fam in ((CTX21, G), (CTX32, H)):
+            f = random_table(ctx, fam, 1, rng)
+            lifted = pushforward_table(ctx, f, 2)
+            assert lifted.table == {k: f.value_at(ctx, ctx.point(*k))
+                                    for k in ctx.coset_digits(fam, 2)}
 
     def test_downward_rejected(self):
         f = CylinderFunction.constant(CTX32, H, 2, 1)

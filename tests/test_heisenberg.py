@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from madic_heisenberg import madic
 from madic_heisenberg.errors import (
     ContextMismatch,
     DomainError,
@@ -21,7 +23,8 @@ from madic_heisenberg.heisenberg import (
     NormalityReport,
     WeakNormalityReport,
 )
-from madic_heisenberg.hmodule import BilinearForm
+from madic_heisenberg.hmodule import BilinearForm, ModuleVec, bilinear_eval, module_valuation
+from madic_heisenberg.madic import MadicInt
 
 H, G = ChainFamily.H, ChainFamily.G
 
@@ -512,3 +515,162 @@ class TestSelfChecks:
                              capture_output=True, env=env, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["conjugate raised", "integrate raised"]
+
+
+# Object-layer oracle: the group law as it was computed before points became
+# reduced int tuples, from ModuleVec addition, bilinear_eval and MadicInt
+# reduction.  The flat law must agree with it exactly.
+
+def old_eval_ints(form, xs, ys):
+    return sum(form.b[p][q] * xs[p] * ys[q]
+               for p in range(form.rank) for q in range(form.rank))
+
+
+def old_mul(ctx, g, h):
+    return HPoint(x=g.x + h.x, s=g.s + h.s + bilinear_eval(ctx.form, g.x, h.x))
+
+
+def old_inv(ctx, g):
+    return HPoint(x=-g.x, s=-g.s + bilinear_eval(ctx.form, g.x, g.x))
+
+
+def old_conjugate(ctx, g, h):
+    return old_mul(ctx, old_mul(ctx, g, h), old_inv(ctx, g))
+
+
+def old_dilate(r, g):
+    return HPoint(x=g.x.scale(r), s=madic.scale(r * r, g.s))
+
+
+def old_coset_key(ctx, g, family, level):
+    x0 = ModuleVec.from_integers([v % ctx.m ** level for v in g.x.values()], ctx.m, ctx.precision)
+    s0 = g.s + bilinear_eval(ctx.form, x0, x0 - g.x)
+    return x0.values(), s0.value % ctx.m ** (family.central_exponent * level)
+
+
+def old_project(g, j):
+    return HPoint(x=g.x.truncate(j), s=madic.truncate(g.s, j))
+
+
+def old_group_distance(ctx, g, h, family):
+    d = old_mul(ctx, old_inv(ctx, h), g)
+    c, cap = family.central_exponent, ctx.precision // family.central_exponent
+    depth = min(cap, module_valuation(d.x).bound, madic.valuation(d.s).bound // c)
+    if depth < cap:
+        return depth, ctx.profile.radius(depth), True
+    trivial = d == ctx.identity()
+    return cap, Fraction(0) if trivial else ctx.profile.radius(cap), False
+
+
+@st.composite
+def flat_groups(draw):
+    m = draw(st.sampled_from([2, 3, 4, 6, 10]))
+    rank = draw(st.integers(1, 4))
+    rows = [[draw(_adic(m)) for _ in range(rank)] for _ in range(rank)]
+    n = draw(st.integers(1, 8))
+    return HeisenbergContext(m=m, rank=rank, form=BilinearForm.from_rows(rows), precision=n)
+
+
+# residues of about 128 bits
+WIDE = HeisenbergContext(m=2, rank=3, form=BilinearForm.from_rows(
+    [[3, -1, 0], [5, 0, 2 ** 70], [-7, 1, 1]]), precision=128)
+groups_under_test = st.one_of(flat_groups(), st.just(WIDE))
+
+
+class TestFlatLawAgainstObjectOracle:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_group_law(self, data):
+        ctx = data.draw(groups_under_test)
+        g, h = data.draw(points(ctx)), data.draw(points(ctx))
+        r = data.draw(st.integers(-20, 20))
+        assert ctx.form.eval_ints(g.xs, h.xs) == old_eval_ints(ctx.form, g.xs, h.xs)
+        assert ctx.mul(g, h) == old_mul(ctx, g, h)
+        assert ctx.inv(g) == old_inv(ctx, g)
+        assert ctx.conjugate(g, h) == old_conjugate(ctx, g, h)
+        assert ctx.dilate(r, g) == old_dilate(r, g)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_quotients_and_distance(self, data):
+        ctx = data.draw(groups_under_test)
+        family = data.draw(st.sampled_from([H, G]))
+        c = family.central_exponent
+        g = data.draw(points(ctx))
+        level = data.draw(st.integers(0, ctx.precision // c))
+        assert ctx.coset_key(g, family, level) == old_coset_key(ctx, g, family, level)
+        j = data.draw(st.integers(1, ctx.precision))
+        assert ctx.project(g, j) == old_project(g, j)
+        # h = g <> k with k deep in the chain, so every valuation is reached
+        depth = data.draw(st.integers(0, ctx.precision // c))
+        k = ctx.point([ctx.m ** depth * data.draw(st.integers(0, 9)) for _ in range(ctx.rank)],
+                      ctx.m ** (c * depth) * data.draw(st.integers(0, 9)))
+        h = ctx.mul(g, k)
+        d = ctx.group_distance(g, h, family)
+        assert (d.valuation, d.radius, d.exact) == old_group_distance(ctx, g, h, family)
+
+
+class TestPointViews:
+    @given(st.data())
+    def test_round_trip(self, data):
+        ctx = data.draw(groups_under_test)
+        g = data.draw(points(ctx))
+        m, n = ctx.m, ctx.precision
+        again = HPoint(x=g.x, s=g.s)
+        assert again == g and hash(again) == hash(g) == hash((g.xs, g.z, m, n))
+        assert g == (g.xs, g.z, m, n)
+        assert g.x.values() == g.xs and g.s == MadicInt(m, n, g.z)
+        assert (g.x.m, g.x.n, g.x.rank) == (m, n, ctx.rank)
+        assert g.values() == (g.xs, g.z)
+        assert g.to_json() == {"x": list(g.xs), "s": g.z, "m": m, "n": n}
+        assert ctx.point(g.to_json()["x"], g.to_json()["s"]) == g
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_equality_sees_modulus_and_precision(self):
+        assert ctx_of(m=2, n=6).point((1,), 1) != ctx_of(m=2, n=5).point((1,), 1)
+        assert ctx_of(m=2, n=6).point((1,), 1) != ctx_of(m=3, n=6).point((1,), 1)
+
+    def test_immutable(self):
+        g = ctx_of().point((5,), 9)
+        for name, value in (("xs", (1,)), ("z", 0), ("x", g.x), ("s", g.s), ("m", 3), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        assert g.values() == ((5,), 9)
+
+    def test_views_must_agree(self):
+        x = ModuleVec.from_integers((1, 2), 2, 6)
+        for s in (MadicInt(2, 5, 1), MadicInt(3, 6, 1)):
+            with pytest.raises(ContextMismatch):
+                HPoint(x=x, s=s)
+
+
+class TestContextChecks:
+    HOME = ctx_of(m=2, rank=2, form=UPPER2, n=6)
+    FOREIGN = [ctx_of(m=2, rank=2, form=UPPER2, n=5).point((1, 0), 1),
+               ctx_of(m=3, rank=2, form=UPPER2, n=6).point((1, 0), 1),
+               ctx_of(m=2, rank=1, form=SCALAR, n=6).point((1,), 1)]
+
+    @pytest.mark.parametrize("a", FOREIGN)
+    def test_weak_normality_rejects_foreign_points(self, a):
+        with pytest.raises(ContextMismatch):
+            self.HOME.check_weak_normality(G, a, 1, 2, 4)
+
+    @pytest.mark.parametrize("g", FOREIGN)
+    def test_group_law_rejects_foreign_points(self, g):
+        e = self.HOME.identity()
+        for call in (lambda: self.HOME.mul(e, g), lambda: self.HOME.mul(g, e),
+                     lambda: self.HOME.inv(g), lambda: self.HOME.conjugate(e, g),
+                     lambda: self.HOME.dilate(2, g), lambda: self.HOME.project(g, 1),
+                     lambda: self.HOME.coset_key(g, H, 1),
+                     lambda: self.HOME.chain_member(g, H, 1),
+                     lambda: self.HOME.group_distance(e, g)):
+            with pytest.raises(ContextMismatch):
+                call()
+
+    def test_non_integer_input(self):
+        ctx = ctx_of()
+        g = ctx.point((3,), 5)
+        for call in (lambda: ctx.point((1.5,), 0), lambda: ctx.dilate(2.5, g),
+                     lambda: ctx.project(g, 2.5)):
+            with pytest.raises(TypeError):
+                call()

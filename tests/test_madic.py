@@ -44,6 +44,12 @@ class TestConstruction:
         assert MadicInt.from_json(x.to_json()) == x
         assert x.to_json() == {"m": 2, "n": 5, "value": "31"}
 
+    def test_json_rejects_non_integer_value(self):
+        for value in (1.9, True):
+            with pytest.raises(TypeError):
+                MadicInt.from_json({"m": 2, "n": 3, "value": value})
+        assert MadicInt.from_json({"m": 2, "n": 3, "value": 5}) == MadicInt(2, 3, 5)
+
     def test_str(self):
         assert str(madic.from_integer(31, 2, 5)) == "31 mod 2^5"
 
@@ -166,6 +172,12 @@ class TestFromResidues:
         with pytest.raises(IncoherentSequence) as err:
             madic.from_residues(2, [(1, 0), (2, 1)])
         assert (err.value.low_level, err.value.high_level) == (1, 2)
+
+    def test_rejects_non_integer_pairs(self):
+        for pairs in ([(1, 1.7), (2.9, 3)], [(1, 1), (2, 3.0)], [(True, 1)]):
+            with pytest.raises(TypeError):
+                madic.from_residues(2, pairs)
+        assert madic.from_residues(2, [(1, "1"), ("2", "3")]) == MadicInt(2, 2, 3)
 
     def test_single_residue(self):
         assert madic.from_residues(5, [(2, 24)]) == MadicInt(5, 2, 24)

@@ -75,6 +75,12 @@ class TestProfiles:
         p = RadiusProfile.explicit([Fraction(1), Fraction(1, 3)])
         assert p.radius(3) == Fraction(1, 27)
 
+    def test_radius_index_must_be_an_integer(self):
+        for j in (2.5, 2.0):
+            with pytest.raises(TypeError):
+                tower.DEFAULT_PROFILE.radius(j)
+        assert tower.DEFAULT_PROFILE.radius(math.inf) == 0
+
     def test_explicit_rejects_increase(self):
         with pytest.raises(InvalidProfile):
             RadiusProfile.explicit([Fraction(1, 2), Fraction(1)])
