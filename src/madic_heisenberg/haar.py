@@ -9,8 +9,10 @@ at the function's own level.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError
 from .heisenberg import ChainFamily, HeisenbergContext, HPoint
@@ -46,9 +48,9 @@ class CylinderFunction:
     table: dict
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "table", {k: Fraction(v) for k, v in self.table.items()}
-        )
+        # a copy, so the caller's dict cannot change f; exact values are kept
+        object.__setattr__(self, "table", {
+            k: v if type(v) is Fraction else Fraction(v) for k, v in self.table.items()})
 
     def value_at(self, ctx: HeisenbergContext, g: HPoint) -> Fraction:
         return self.table[ctx.coset_key(g, self.family, self.level)]
@@ -103,9 +105,12 @@ class CylinderFunction:
 
 
 def average_over(ctx: HeisenbergContext, f: CylinderFunction, points) -> Fraction:
-    """Exact average of f over an arbitrary finite set of points."""
+    """Exact average of f over a finite list of points: the value of each
+    coset weighted by the number of points whose coset key it is."""
     points = list(points)
-    return sum((f.value_at(ctx, g) for g in points), Fraction(0)) / len(points)
+    ctx._check(*points)
+    counts = Counter(map(ctx._keyer(f.family, f.level), points))
+    return sum((f.table[k] * n for k, n in counts.items()), Fraction(0)) / len(points)
 
 
 def integrate(ctx: HeisenbergContext, f: CylinderFunction, n: int | None = None) -> Fraction:
@@ -128,11 +133,24 @@ def integrate(ctx: HeisenbergContext, f: CylinderFunction, n: int | None = None)
 
 def _retabulate(ctx: HeisenbergContext, f: CylinderFunction, level: int,
                 compose) -> CylinderFunction:
-    """g -> f(compose(g)) tabulated over the canonical cosets at level;
-    compose maps a digit key to the residues (xs, s) of a point."""
+    """g -> f(compose(g)) tabulated over the canonical cosets at level, one
+    row (a vector digit xs and every central digit s) at a time.
+
+    compose maps a digit key to the residues (xs, s) of a point and must
+    add s unchanged to the centre, as the group law on either side and the
+    identity do; level must be at least f.level, so that f's row period
+    m^(c*f.level) divides the output row width.  Then the row at xs is f's
+    row at x0 rotated by t, for (x0, t) the key of compose((xs, 0)), and
+    repeated to the width: one law and key evaluation per vector digit."""
     key = ctx._keyer(f.family, f.level)
-    return CylinderFunction(level=level, family=f.family, table={
-        k: f.table[key(compose(k))] for k in ctx.coset_digits(f.family, level)})
+    vectors, width = ctx.coset_rows(f.family, level)
+    period = ctx.m ** (f.family.central_exponent * f.level)
+    table = {}
+    for xs in vectors:
+        x0, t = key(compose((xs, 0)))
+        row = [f.table[x0, (t + s) % period] for s in range(period)]
+        table.update(zip(zip(repeat(xs), range(width)), row * (width // period)))
+    return CylinderFunction(level=level, family=f.family, table=table)
 
 
 def translate(ctx: HeisenbergContext, f: CylinderFunction, a: HPoint,

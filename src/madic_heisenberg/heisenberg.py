@@ -220,7 +220,7 @@ class HeisenbergContext:
         """Membership of g in the level-j subgroup; None when the required
         depth exceeds the precision (inconclusive at this precision)."""
         self._check(g)
-        if j < 0:
+        if operator.index(j) < 0:
             raise DomainError("chain level must be nonnegative")
         if family.central_exponent * j > self.precision:
             return None
@@ -248,21 +248,28 @@ class HeisenbergContext:
     # finite quotients -----------------------------------------------------
 
     def _level_guard(self, family: ChainFamily, level: int) -> int:
-        """Central exponent c, after checking 0 <= c*level <= precision."""
+        """Central exponent c, after checking an integer level, 0 <= c*level <= precision."""
         c = family.central_exponent
-        if level < 0:
+        if operator.index(level) < 0:
             raise DomainError("level must be nonnegative")
         if c * level > self.precision:
             raise PrecisionExceeded(f"level {level} needs precision >= {c * level}")
         return c
 
-    def coset_digits(self, family: ChainFamily, level: int):
-        """Canonical digit keys of the cosets of the level subgroup, in
-        lexicographic order: vector digits below m^level, central digit
-        below m^(c*level).  Each key is its own coset_key."""
+    def coset_rows(self, family: ChainFamily, level: int):
+        """The canonical digit keys of coset_digits as rows: an iterator over
+        the vector digits xs below m^level in lexicographic order, and the
+        width m^(c*level) of each row, the number of central digits s."""
         c = self._level_guard(family, level)
-        return ((xs, s) for xs in itertools.product(range(self.m ** level), repeat=self.rank)
-                for s in range(self.m ** (c * level)))
+        return (itertools.product(range(self.m ** level), repeat=self.rank),
+                self.m ** (c * level))
+
+    def coset_digits(self, family: ChainFamily, level: int):
+        """Canonical digit keys ((x_1, ..., x_N), s) of the cosets of the
+        level subgroup, in lexicographic order: the rows of coset_rows,
+        flattened.  Each key is its own coset_key."""
+        vectors, width = self.coset_rows(family, level)
+        return ((xs, s) for xs in vectors for s in range(width))
 
     def _keyer(self, family: ChainFamily, level: int):
         """coset_key at this level, level-guarded once, as a function of the
@@ -300,8 +307,8 @@ class HeisenbergContext:
         return all(v % mj == 0 for v in g.xs) and g.z % mj ** family.central_exponent == 0
 
     def _quotient_guard(self, family: ChainFamily, quotient_level: int, *levels: int):
-        """Reject negative levels, chain levels G/H_L cannot see, and L > precision."""
-        if min(quotient_level, *levels) < 0:
+        """Reject non-integer or negative levels, levels G/H_L cannot see, L > precision."""
+        if min(map(operator.index, (quotient_level, *levels))) < 0:
             raise DomainError("levels must be nonnegative")
         if family.central_exponent * max(levels) > quotient_level:
             raise LevelTooShallow(f"level {quotient_level} cannot see family-"

@@ -88,6 +88,8 @@ class MadicInt:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MadicInt":
+        if isinstance(obj["m"], bool) or isinstance(obj["n"], bool):
+            raise TypeError(f"expected integers m and n, got {obj['m']!r}, {obj['n']!r}")
         return cls(m=obj["m"], n=obj["n"], value=parse_int(obj["value"]))
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madic_heisenberg.errors import ContextMismatch, DomainError, PrecisionExceeded
 from madic_heisenberg.haar import (
@@ -208,3 +209,115 @@ class TestSerialization:
         again = CylinderFunction.from_json(f.to_json())
         assert again.table == f.table
         assert (again.level, again.family) == (1, G)
+
+
+class TestConstruction:
+    def test_values_normalised_to_fraction(self):
+        f = CylinderFunction(level=1, family=H, table={
+            ((0,), 0): 3, ((0,), 1): "2/3", ((1,), 0): Fraction(1, 2), ((1,), 1): -1})
+        assert f.table == {((0,), 0): 3, ((0,), 1): Fraction(2, 3),
+                           ((1,), 0): Fraction(1, 2), ((1,), 1): -1}
+        assert {type(v) for v in f.table.values()} == {Fraction}
+
+    def test_caller_dict_is_copied(self):
+        table = dict.fromkeys(CTX21.coset_digits(H, 1), Fraction(1, 4))
+        f = CylinderFunction(level=1, family=H, table=table)
+        table[((0,), 0)] = Fraction(7)
+        table[((9,), 9)] = Fraction(7)
+        assert f.table == dict.fromkeys(CTX21.coset_digits(H, 1), Fraction(1, 4))
+
+
+class TestAverageOver:
+    @pytest.mark.parametrize("a", [
+        HeisenbergContext(m=2, rank=1, form=BilinearForm.from_rows([[1]]),
+                          precision=3).point((1,), 1),
+        HeisenbergContext(m=3, rank=1, form=BilinearForm.from_rows([[1]]),
+                          precision=4).point((1,), 1),
+        CTX32.point((1, 0), 1),
+    ])
+    def test_foreign_points_rejected(self, a):
+        f = CylinderFunction.constant(CTX21, G, 1, 1)
+        with pytest.raises(ContextMismatch):
+            average_over(CTX21, f, [CTX21.identity(), a])
+
+    def test_empty_list(self):
+        with pytest.raises(ZeroDivisionError):
+            average_over(CTX21, CylinderFunction.constant(CTX21, G, 1, 1), [])
+
+
+# Per-coset oracles: re-tabulation and averaging as they were computed
+# before the row-wise fill, one law and key evaluation per output coset
+# and one table lookup per point.
+
+def oracle_retabulate(ctx, f, level, compose):
+    key = ctx._keyer(f.family, f.level)
+    return {k: f.table[key(compose(k))] for k in ctx.coset_digits(f.family, level)}
+
+
+def oracle_average_over(ctx, f, points):
+    return sum((f.value_at(ctx, g) for g in points), Fraction(0)) / len(points)
+
+
+MAX_COSETS = 4096
+
+
+@st.composite
+def retabulations(draw):
+    """A random group, a random cylinder function f on it, a translator a,
+    and one re-tabulation of f (left or right translate, or a lift) whose
+    output quotient has at most MAX_COSETS cosets."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    rank = draw(st.integers(1, 3))
+    family = draw(st.sampled_from([H, G]))
+    c = family.central_exponent
+    jobs = [(op, level, out) for level in range(3)
+            for op, out in (("left", level), ("right", level * (1 if family is H else 2)),
+                            ("lift", level + 1), ("lift", level + 2))
+            if m ** (out * (rank + c)) <= MAX_COSETS]
+    op, level, out = draw(st.sampled_from(jobs))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(rank)] for _ in range(rank)]
+    ctx = HeisenbergContext(m=m, rank=rank, form=BilinearForm.from_rows(rows),
+                            precision=max(1, c * out + draw(st.integers(0, 2))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = CylinderFunction(level=level, family=family, table={
+        k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+        for k in ctx.coset_digits(family, level)})
+    coord = st.integers(0, ctx.M - 1)
+    a = ctx.point(draw(st.tuples(*[coord] * rank)), draw(coord))
+    return ctx, f, a, op, out
+
+
+class TestRowWiseAgainstOracle:
+    @settings(max_examples=150)
+    @given(retabulations())
+    def test_translates_and_lifts_match_per_coset_fill(self, case):
+        ctx, f, a, op, out = case
+        if op == "lift":
+            got, compose = pushforward_table(ctx, f, out), (lambda k: k)
+        else:
+            got = translate(ctx, f, a, op)
+            compose = ((lambda k: ctx._law(a, k)) if op == "left"
+                       else (lambda k: ctx._law(k, a)))
+        assert got.level == out
+        assert list(got.table.items()) == list(
+            oracle_retabulate(ctx, f, out, compose).items())
+        vectors, width = ctx.coset_rows(f.family, out)
+        assert list(ctx.coset_digits(f.family, out)) == [
+            (xs, s) for xs in vectors for s in range(width)]
+
+    @settings(max_examples=100)
+    @given(retabulations(), st.data())
+    def test_average_matches_pointwise_sum(self, case, data):
+        ctx, f, a, _, _ = case
+        c = f.family.central_exponent
+        coord = st.integers(0, ctx.M - 1)
+        base = [ctx.point(*data.draw(st.tuples(st.tuples(*[coord] * ctx.rank), coord)))
+                for _ in range(data.draw(st.integers(1, 6)))]
+        # right multiples by the level subgroup share their coset key
+        same_coset = [ctx.mul(g, ctx.point([ctx.m ** f.level * v for v in x],
+                                           ctx.m ** (c * f.level) * t))
+                      for g in base for x, t in data.draw(st.lists(
+                          st.tuples(st.tuples(*[coord] * ctx.rank), coord), max_size=2))]
+        points = base + base[:data.draw(st.integers(0, len(base)))] + same_coset + [a]
+        points = data.draw(st.permutations(points))
+        assert average_over(ctx, f, points) == oracle_average_over(ctx, f, points)

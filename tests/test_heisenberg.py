@@ -467,6 +467,20 @@ class TestCosetDigits:
 
 
 class TestIntegerInput:
+    @pytest.mark.parametrize("call", [
+        lambda ctx, g: ctx.coset_key(g, H, 1.0),
+        lambda ctx, g: ctx.coset_digits(G, 1.0),
+        lambda ctx, g: ctx.coset_rows(H, 2.0),
+        lambda ctx, g: ctx.chain_member(g, H, 1.5),
+        lambda ctx, g: ctx.check_normality(H, 1.0, 2),
+        lambda ctx, g: ctx.check_normality(G, 1, 2.0),
+        lambda ctx, g: ctx.check_weak_normality(G, g, 1, 1.0, 4),
+    ])
+    def test_levels_reject_non_integers(self, call):
+        ctx = ctx_of(n=6)
+        with pytest.raises(TypeError):
+            call(ctx, ctx.point((5,), 9))
+
     def test_point_json_shape(self):
         ctx = ctx_of(m=10, rank=2, form=UPPER2, n=2)
         assert ctx.point((3, 105), -1).to_json() == {"x": [3, 5], "s": 99, "m": 10, "n": 2}

@@ -50,6 +50,11 @@ class TestConstruction:
                 MadicInt.from_json({"m": 2, "n": 3, "value": value})
         assert MadicInt.from_json({"m": 2, "n": 3, "value": 5}) == MadicInt(2, 3, 5)
 
+    def test_json_rejects_bool_modulus_and_precision(self):
+        for obj in ({"m": 2, "n": True, "value": 1}, {"m": True, "n": 3, "value": 0}):
+            with pytest.raises(TypeError):
+                MadicInt.from_json(obj)
+
     def test_str(self):
         assert str(madic.from_integer(31, 2, 5)) == "31 mod 2^5"
 
