@@ -133,7 +133,11 @@ def _parse_function(ctx, family, level, text: str) -> CylinderFunction:
                                           _point(ctx, text[len("indicator:"):]))
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return CylinderFunction.from_json(json.load(fh))
+            f = CylinderFunction.from_json(json.load(fh))
+        if (f.family, f.level) != (family, level):
+            raise DomainError(f"{text[1:]}: family {f.family.value} level {f.level} "
+                              f"does not match the flags")
+        return f
     raise DomainError(f"unknown function argument {text!r}; "
                       "use const1, indicator:POINT, or @file")
 

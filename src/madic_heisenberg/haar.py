@@ -1,18 +1,19 @@
 """Exact Haar integration on the compact Heisenberg group.
 
-Integrable functions are cylinder functions: exact-rational tables over
-the cosets of a chain subgroup at some level.  The invariant integral of
-such a function is its average over coset representatives, computed
-exactly; no limits are taken numerically because the averages stabilize
-at the function's own level.
+Integrable functions are cylinder functions: exact rationals on the cosets
+of a chain subgroup at some level, stored as one row of central values per
+vector digit.  The invariant integral is the exact average of the rows; at
+a deeper level it is checked over one central period of each row, where
+the averages have already stabilized.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import DomainError
 from .heisenberg import ChainFamily, HeisenbergContext, HPoint
@@ -38,19 +39,54 @@ def enumerate_cosets(ctx: HeisenbergContext, family: ChainFamily, n: int) -> Cos
     return CosetReps(level=n, family=family, reps=reps)
 
 
-@dataclass(frozen=True)
+class _RowTable(Mapping):
+    """Read-only view of rows as the table {((x_1, ..., x_N), s): value}."""
+
+    def __init__(self, rows: dict):
+        self.rows = rows
+
+    def __getitem__(self, key):
+        row = self.rows.get(key[0], ())
+        if 0 <= key[1] < len(row):
+            return row[key[1]]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((xs, s) for xs, row in self.rows.items() for s in range(len(row)))
+
+    def __len__(self):
+        return sum(map(len, self.rows.values()))
+
+
+@dataclass(frozen=True, init=False)
 class CylinderFunction:
-    """Level-l table of exact rationals over the cosets of the level-l
-    subgroup, keyed by canonical digits ((x_1, ..., x_N), s)."""
+    """Level-l function on the cosets of the level-l subgroup, stored as rows:
+    each vector digit xs, in lexicographic order, maps to the tuple of exact
+    values at central digits s = 0, 1, ...; .table views them by ((x_1, ..., x_N), s)."""
 
     level: int
     family: ChainFamily
-    table: dict
+    rows: dict
 
-    def __post_init__(self):
-        # a copy, so the caller's dict cannot change f; exact values are kept
-        object.__setattr__(self, "table", {
-            k: v if type(v) is Fraction else Fraction(v) for k, v in self.table.items()})
+    def __init__(self, level: int, family: ChainFamily, table: Mapping):
+        if type(level) is bool:
+            raise TypeError("level must be an integer, not a bool")
+        if type(table) is _RowTable:  # rows of Fractions, already in order: no copy
+            rows = table.rows
+        else:
+            grouped = {}
+            for (xs, s), v in table.items():
+                grouped.setdefault(xs, {})[s] = v if type(v) is Fraction else Fraction(v)
+            try:
+                rows = {xs: tuple([row[s] for s in range(len(row))])
+                        for xs, row in sorted(grouped.items())}
+            except KeyError:
+                raise DomainError("a row of the table skips a central digit") from None
+        self.__dict__.update(level=operator.index(level), family=family, rows=rows)
+
+    @property
+    def table(self) -> Mapping:
+        return _RowTable(self.rows)
 
     def value_at(self, ctx: HeisenbergContext, g: HPoint) -> Fraction:
         return self.table[ctx.coset_key(g, self.family, self.level)]
@@ -58,32 +94,30 @@ class CylinderFunction:
     @classmethod
     def constant(cls, ctx: HeisenbergContext, family: ChainFamily, level: int,
                  value) -> "CylinderFunction":
-        return cls(level=level, family=family,
-                   table=dict.fromkeys(ctx.coset_digits(family, level), Fraction(value)))
+        vectors, width = ctx.coset_rows(family, level)
+        return cls(level, family, _RowTable(dict.fromkeys(vectors, (Fraction(value),) * width)))
 
     @classmethod
     def indicator(cls, ctx: HeisenbergContext, family: ChainFamily, level: int,
                   of: HPoint) -> "CylinderFunction":
         """Indicator of the coset containing `of`."""
-        target = ctx.coset_key(of, family, level)
-        return cls(level=level, family=family, table={
-            k: Fraction(int(k == target)) for k in ctx.coset_digits(family, level)
-        })
+        x0, s0 = ctx.coset_key(of, family, level)
+        f = cls.constant(ctx, family, level, 0)
+        f.rows[x0] = f.rows[x0][:s0] + (Fraction(1),) + f.rows[x0][s0 + 1:]
+        return f
 
     def check_complete(self, ctx: HeisenbergContext):
-        expected = quotient_size(ctx, self.family, self.level)
-        if len(self.table) != expected:
-            raise DomainError(
-                f"table has {len(self.table)} entries, quotient has {expected} cosets"
-            )
+        """Reject any table but one row of m^(c*l) values per vector digit."""
+        vectors, width = ctx.coset_rows(self.family, self.level)
+        if list(self.rows) != list(vectors) or any(len(r) != width for r in self.rows.values()):
+            raise DomainError(f"table is not one row of {width} values per vector digit")
 
     def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
         if (self.level, self.family) != (other.level, other.family):
             raise DomainError("can only add cylinder functions at the same level and family")
-        return CylinderFunction(
-            level=self.level, family=self.family,
-            table={k: v + other.table[k] for k, v in self.table.items()},
-        )
+        return CylinderFunction(self.level, self.family, _RowTable({
+            xs: tuple([u + v for u, v in zip(row, other.rows[xs], strict=True)])
+            for xs, row in self.rows.items()}))
 
     def to_json(self) -> dict:
         return {
@@ -107,26 +141,28 @@ class CylinderFunction:
 def average_over(ctx: HeisenbergContext, f: CylinderFunction, points) -> Fraction:
     """Exact average of f over a finite list of points: the value of each
     coset weighted by the number of points whose coset key it is."""
-    points = list(points)
+    points, table = list(points), f.table
     ctx._check(*points)
     counts = Counter(map(ctx._keyer(f.family, f.level), points))
-    return sum((f.table[k] * n for k, n in counts.items()), Fraction(0)) / len(points)
+    return sum((table[k] * n for k, n in counts.items()), Fraction(0)) / len(points)
 
 
 def integrate(ctx: HeisenbergContext, f: CylinderFunction, n: int | None = None) -> Fraction:
-    """Invariant integral: the average of the table.
+    """Invariant integral: the average of the table, from its row sums.
 
-    When asked at a deeper level n the average over level-n representatives
-    is computed and checked against the level-l value; they agree exactly
-    because every level-l coset splits into equally many level-n cosets.
-    """
+    At a deeper level n it is checked against the average over the level-n
+    representatives with central digit below f's row width m^(c*l): f has
+    that period along every level-n row (see _retabulate), so this is the
+    average over all level-n representatives exactly."""
     f.check_complete(ctx)
-    base = sum(f.table.values(), Fraction(0)) / len(f.table)
+    base = sum(map(sum, f.rows.values()), Fraction(0)) / quotient_size(ctx, f.family, f.level)
     if n is None or n == f.level:
         return base
     if n < f.level:
         raise DomainError(f"integration level {n} below function level {f.level}")
-    if average_over(ctx, f, enumerate_cosets(ctx, f.family, n).reps) != base:
+    vectors, _ = ctx.coset_rows(f.family, n)
+    period = range(ctx.m ** (f.family.central_exponent * f.level))
+    if average_over(ctx, f, [ctx._new(xs, s) for xs in vectors for s in period]) != base:
         raise AssertionError("coset average failed to stabilize")
     return base
 
@@ -144,13 +180,12 @@ def _retabulate(ctx: HeisenbergContext, f: CylinderFunction, level: int,
     repeated to the width: one law and key evaluation per vector digit."""
     key = ctx._keyer(f.family, f.level)
     vectors, width = ctx.coset_rows(f.family, level)
-    period = ctx.m ** (f.family.central_exponent * f.level)
-    table = {}
+    rows = {}
     for xs in vectors:
         x0, t = key(compose((xs, 0)))
-        row = [f.table[x0, (t + s) % period] for s in range(period)]
-        table.update(zip(zip(repeat(xs), range(width)), row * (width // period)))
-    return CylinderFunction(level=level, family=f.family, table=table)
+        row = f.rows[x0]
+        rows[xs] = (row[t:] + row[:t]) * (width // len(row))
+    return CylinderFunction(level, f.family, _RowTable(rows))
 
 
 def translate(ctx: HeisenbergContext, f: CylinderFunction, a: HPoint,
@@ -173,6 +208,7 @@ def pushforward_table(ctx: HeisenbergContext, f: CylinderFunction,
                       n: int) -> CylinderFunction:
     """The same function re-tabulated at a deeper level n > l; the
     integral is preserved exactly."""
+    f.check_complete(ctx)
     if n <= f.level:
         raise DomainError(f"target level {n} must exceed function level {f.level}")
     return _retabulate(ctx, f, n, lambda k: k)

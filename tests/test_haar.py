@@ -1,9 +1,12 @@
+import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from madic_heisenberg import cli
 from madic_heisenberg.errors import ContextMismatch, DomainError, PrecisionExceeded
 from madic_heisenberg.haar import (
     CylinderFunction,
@@ -321,3 +324,190 @@ class TestRowWiseAgainstOracle:
         points = base + base[:data.draw(st.integers(0, len(base)))] + same_coset + [a]
         points = data.draw(st.permutations(points))
         assert average_over(ctx, f, points) == oracle_average_over(ctx, f, points)
+
+
+# Row storage: the dict-building constructors as they were before rows,
+# kept as oracles, and the one-period stabilisation check of integrate
+# against the average over every level-n representative.
+
+def oracle_constant(ctx, family, level, value):
+    return dict.fromkeys(ctx.coset_digits(family, level), Fraction(value))
+
+
+def oracle_indicator(ctx, family, level, of):
+    target = ctx.coset_key(of, family, level)
+    return {k: Fraction(int(k == target)) for k in ctx.coset_digits(family, level)}
+
+
+@st.composite
+def lifted_functions(draw):
+    """A random group, a cylinder function f at level l built one of four
+    ways (a table, constant, indicator, left translate of a table), and a
+    deeper level n > l whose quotient has at most MAX_COSETS cosets."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    rank = draw(st.integers(1, 3))
+    family = draw(st.sampled_from([H, G]))
+    c = family.central_exponent
+    pairs = [(l, n) for n in range(1, 5) for l in range(n)
+             if m ** (n * (rank + c)) <= MAX_COSETS]
+    level, n = draw(st.sampled_from(pairs))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(rank)] for _ in range(rank)]
+    ctx = HeisenbergContext(m=m, rank=rank, form=BilinearForm.from_rows(rows),
+                            precision=c * n + draw(st.integers(0, 2)))
+    coord = st.integers(0, ctx.M - 1)
+    point = ctx.point(draw(st.tuples(*[coord] * rank)), draw(coord))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    table = {k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+             for k in ctx.coset_digits(family, level)}
+    kind = draw(st.sampled_from(["table", "constant", "indicator", "translate"]))
+    if kind == "constant":
+        f = CylinderFunction.constant(ctx, family, level, Fraction(rng.randrange(1, 9), 7))
+    elif kind == "indicator":
+        f = CylinderFunction.indicator(ctx, family, level, point)
+    else:
+        f = CylinderFunction(level=level, family=family, table=table)
+        if kind == "translate":
+            f = translate(ctx, f, point, "left")
+    return ctx, f, n, point
+
+
+class TestRowStorage:
+    @settings(max_examples=150)
+    @given(lifted_functions())
+    def test_one_period_check_matches_every_representative(self, case):
+        ctx, f, n, _ = case
+        full = average_over(ctx, f, enumerate_cosets(ctx, f.family, n).reps)
+        assert integrate(ctx, f, n) == full == integrate(ctx, f)
+
+    @settings(max_examples=100)
+    @given(lifted_functions(), st.integers(-20, 20))
+    def test_constant_and_indicator_match_dict_oracle(self, case, value):
+        ctx, f, _, point = case
+        for got, want in (
+            (CylinderFunction.constant(ctx, f.family, f.level, value),
+             oracle_constant(ctx, f.family, f.level, value)),
+            (CylinderFunction.indicator(ctx, f.family, f.level, point),
+             oracle_indicator(ctx, f.family, f.level, point)),
+        ):
+            assert list(got.table.items()) == list(want.items())
+            assert got == CylinderFunction(level=f.level, family=f.family, table=want)
+
+    def test_rows_are_lexicographic_whatever_the_table_order(self):
+        table = oracle_indicator(CTX32, H, 1, CTX32.point((2, 1), 1))
+        f = CylinderFunction(level=1, family=H, table=dict(reversed(table.items())))
+        assert list(f.table) == list(CTX32.coset_digits(H, 1))
+        assert list(f.rows) == list(CTX32.coset_rows(H, 1)[0])
+        assert f == CylinderFunction.indicator(CTX32, H, 1, CTX32.point((2, 1), 1))
+
+    def test_table_view(self):
+        f = CylinderFunction.indicator(CTX21, G, 1, CTX21.point((1,), 2))
+        want = oracle_indicator(CTX21, G, 1, CTX21.point((1,), 2))
+        view = f.table
+        assert len(view) == len(want) == 8
+        assert view == want and want == view
+        assert view != {**want, ((0,), 0): Fraction(5)}
+        assert view != dict(list(want.items())[:-1])
+        assert view[(1,), 2] == 1 and view[(1,), 3] == 0
+        for key in (((2,), 0), ((0,), 4), ((0,), -1), ((0, 0), 0)):
+            with pytest.raises(KeyError):
+                view[key]
+            assert key not in view
+        assert view.get(((0,), 4)) is None
+        with pytest.raises(TypeError):
+            view[(0,), 0] = Fraction(1)
+
+    def test_pickle_and_immutability(self):
+        rng = random.Random(53)
+        for f in (random_table(CTX32, H, 1, rng),
+                  CylinderFunction.indicator(CTX21, G, 2, CTX21.point((3,), 9)),
+                  translate(CTX21, random_table(CTX21, G, 1, rng), CTX21.point((1,), 1),
+                            "right")):
+            again = pickle.loads(pickle.dumps(f))
+            assert again == f and again.table == f.table
+            assert (again.level, again.family) == (f.level, f.family)
+            assert again != CylinderFunction.constant(CTX21, f.family, f.level, 7)
+            for name, value in (("level", 3), ("family", H), ("rows", {}), ("table", {})):
+                with pytest.raises(AttributeError):
+                    setattr(f, name, value)
+
+    def test_indicator_of_deep_level_shares_zero_row(self):
+        ctx = HeisenbergContext(m=2, rank=2, form=BilinearForm.from_rows([[0, 1], [0, 0]]),
+                                precision=8)
+        f = CylinderFunction.indicator(ctx, G, 4, ctx.point((5, 6), 7))
+        assert len({id(row) for row in f.rows.values()}) == 2
+        assert integrate(ctx, f) == Fraction(1, 2 ** 16)
+
+
+def run_main(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+HAAR_ARGV = ("haar", "--m", "2", "--N", "1", "--b", "[[1]]")
+
+
+class TestFunctionFiles:
+    def test_family_or_level_mismatch_rejected(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(CylinderFunction.indicator(
+            CTX21, G, 1, CTX21.identity()).to_json()))
+        for flags in (("--family", "H", "--level", "3"), ("--family", "H", "--level", "1"),
+                      ("--level", "2")):
+            code, out, err = run_main(capsys, *HAAR_ARGV, *flags, "--function", f"@{path}")
+            assert (code, out) == (1, "") and err.startswith("DomainError")
+        for at in ("1", "2", "3"):
+            assert run_main(capsys, *HAAR_ARGV, "--level", "1", "--function", f"@{path}",
+                            "--at-level", at)[:2] == (0, '{"integral": "1/8"}\n')
+
+    @pytest.mark.parametrize("level", [1.0, True, "1", None])
+    def test_non_integer_level_rejected(self, level, tmp_path, capsys):
+        obj = CylinderFunction.constant(CTX21, G, 1, 1).to_json()
+        with pytest.raises(TypeError):
+            CylinderFunction.from_json({**obj, "level": level})
+        with pytest.raises(TypeError):
+            CylinderFunction(level=level, family=G, table=dict.fromkeys(
+                CTX21.coset_digits(G, 1), Fraction(1)))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({**obj, "level": level}))
+        code, out, err = run_main(capsys, *HAAR_ARGV, "--level", "1", "--function", f"@{path}")
+        assert (code, out) == (2, "") and err.startswith("TypeError")
+
+
+class TestTableShape:
+    def bad_shapes(self):
+        """Tables over CTX21 at level 1 that are not one full row per vector
+        digit, most with the full count of entries (4 for H, 8 for G)."""
+        h, g = oracle_constant(CTX21, H, 1, 1), oracle_constant(CTX21, G, 1, 1)
+        misplaced = {((9,) if k[0] == (1,) else k[0], k[1]): v for k, v in h.items()}
+        uneven = {**{k: v for k, v in g.items() if k != ((1,), 3)}, ((0,), 4): Fraction(1)}
+        wide = {**{k: v for k, v in h.items() if k[0] == (0,)},
+                ((0,), 2): Fraction(1), ((0,), 3): Fraction(1)}
+        return [(H, misplaced), (G, uneven), (H, wide), (G, {((0,), 0): Fraction(1)})]
+
+    def test_every_entry_point_rejects_a_bad_shape(self):
+        for family, table in self.bad_shapes():
+            f = CylinderFunction(level=1, family=family, table=table)
+            for call in (lambda: f.check_complete(CTX21),
+                         lambda: integrate(CTX21, f), lambda: integrate(CTX21, f, 2),
+                         lambda: translate(CTX21, f, CTX21.identity(), "left"),
+                         lambda: translate(CTX21, f, CTX21.identity(), "right"),
+                         lambda: pushforward_table(CTX21, f, 2)):
+                with pytest.raises(DomainError):
+                    call()
+
+    def test_gap_in_a_row_rejected(self):
+        table = {k: v for k, v in oracle_constant(CTX21, H, 1, 1).items() if k != ((1,), 1)}
+        with pytest.raises(DomainError):
+            CylinderFunction(level=1, family=H, table={**table, ((9,), 9): Fraction(1)})
+        with pytest.raises(DomainError):
+            CylinderFunction(level=1, family=H, table={**table, ((1,), 2): Fraction(1)})
+
+    def test_gap_in_a_row_rejected_through_cli(self, tmp_path, capsys):
+        obj = CylinderFunction.constant(CTX21, H, 1, 1).to_json()
+        obj["entries"][3]["rep"] = {"x": [9], "s": 9}
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_main(capsys, *HAAR_ARGV, "--family", "H", "--level", "1",
+                                  "--function", f"@{path}")
+        assert (code, out) == (1, "") and err.startswith("DomainError")
